@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "legacy_des.hpp"
 #include "net/tcp.hpp"
 #include "net/timeline/timeline.hpp"
 
@@ -209,14 +208,9 @@ FlowBenchInstance flow_bench_instance() {
   return {std::move(input), std::move(plan), std::move(traffic)};
 }
 
-/// A CBR source for the des_event_loop kernel: same emission pattern as
-/// bench_legacy::LegacyCbrSource, scheduled through each core's idiomatic
-/// API — the typed allocation-free kTimer path here (the production path:
-/// UdpCbrSource rides the equivalent kUdpEmit kind), the std::function
-/// priority queue on the legacy twin (closures were the only API the old
-/// core offered; their per-event heap allocation is half of what the
-/// overhaul retired). The workload — sources, rates, phases, event count —
-/// is byte-identical across the pair.
+/// A CBR source for the des_event_loop kernel, scheduled through the
+/// typed allocation-free kTimer path (the production path: UdpCbrSource
+/// rides the equivalent kUdpEmit kind).
 struct CalendarCbrSource {
   net::Simulator& sim;
   net::Link& link;
@@ -596,11 +590,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
 
   // --- DES event core at scale ---------------------------------------------
   // 1e5 concurrent CBR timers into one fat link: the pending-event
-  // population the 10^5-user packet runs sustain. The oldcore twin drives
-  // the pre-rewrite binary-heap + std::function core (bench/legacy_des.hpp)
-  // with the byte-identical workload, so the row pair isolates the event
-  // engine: O(1) calendar buckets vs log(1e5) cache-hostile sift levels
-  // plus per-packet closure allocation.
+  // population the 10^5-user packet runs sustain.
   constexpr std::size_t kDesSources = 100000;
   constexpr net::Time kDesInterval = 0.004;
   constexpr net::Time kDesStop = 0.01;
@@ -615,22 +605,6 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     for (std::size_t i = 0; i < kDesSources; ++i) {
       sources.push_back({sim, link, static_cast<std::uint32_t>(i),
                          kDesInterval});
-      sources.back().start(0.0, kDesStop, i);
-    }
-    sim.run_until(kDesEnd);
-    volatile std::uint64_t out = delivered;
-    (void)out;
-  });
-  add("des_event_loop_1e5_oldcore", [&] {
-    bench_legacy::LegacySimulator sim;
-    std::uint64_t delivered = 0;
-    bench_legacy::LegacyLink link(sim, 1e12, 0.001,
-                                  [&](const net::Packet&) { ++delivered; });
-    std::vector<bench_legacy::LegacyCbrSource> sources;
-    sources.reserve(kDesSources);
-    for (std::size_t i = 0; i < kDesSources; ++i) {
-      sources.emplace_back(sim, link, static_cast<std::uint32_t>(i),
-                           kDesInterval);
       sources.back().start(0.0, kDesStop, i);
     }
     sim.run_until(kDesEnd);

@@ -129,10 +129,10 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
           const auto stats = repairer.apply(deltas);
           cell.detoured = stats.detoured_pairs;
           cell.denied = stats.denied_pairs;
-          const auto paths = repairer.traffic_paths();
+          const auto routes = repairer.route_set();
           const auto factors = repairer.capacity_factors();
           run_options.plan = &base_plan;
-          run_options.paths = &paths;
+          run_options.route_set = &routes;
           run_options.capacity_factor = &factors;
           cell.report = traffic_model->run(demands, run_options);
         }

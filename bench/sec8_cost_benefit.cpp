@@ -49,7 +49,8 @@ engine::ResultSet run(const engine::ExperimentContext&) {
 const engine::RegisterExperiment kRegistration{
     {.name = "sec8_cost_benefit",
      .description = "§8: value-per-GB vs cost-per-GB",
-     .tags = {"bench", "economics"}},
+     .tags = {"bench", "economics"},
+     .params = {}},
     run};
 
 }  // namespace

@@ -152,9 +152,9 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                 racer.race(repairer.routes(), repairer.link_state());
             cell.denied = race.failed_pairs;
             cell.recovered = race.recovered_pairs;
-            const auto paths = race.traffic_paths();
+            const auto routes = race.route_set();
             run_options.plan = &base_plan;
-            run_options.paths = &paths;
+            run_options.route_set = &routes;
             run_options.capacity_factor = &factors;
             cell.report = model->run(demands, run_options);
             break;

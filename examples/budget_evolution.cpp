@@ -89,7 +89,8 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
 const engine::RegisterExperiment kRegistration{
     {.name = "budget_evolution",
      .description = "Budget evolution maps: mostly-fiber to mostly-MW",
-     .tags = {"example", "design", "sweep"}},
+     .tags = {"example", "design", "sweep"},
+     .params = {}},
     run};
 
 }  // namespace

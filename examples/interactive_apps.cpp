@@ -70,7 +70,8 @@ engine::ResultSet run(const engine::ExperimentContext&) {
 const engine::RegisterExperiment kRegistration{
     {.name = "interactive_apps",
      .description = "§7/§8: gaming, web and economics application models",
-     .tags = {"example", "apps", "economics"}},
+     .tags = {"example", "apps", "economics"},
+     .params = {}},
     run};
 
 }  // namespace

@@ -3,7 +3,7 @@
 // `us_backbone` experiment; the old positional CLI arguments became
 // declared parameters:
 //
-//   cisp_experiments run us_backbone --set budget_towers=3000 \
+//   cisp_experiments run us_backbone --set budget_towers=3000
 //       --set max_range_km=100 --set aggregate_gbps=100 [--fast]
 
 #include <algorithm>

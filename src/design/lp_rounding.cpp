@@ -75,10 +75,10 @@ LpRoundingResult solve_lp_rounding(const DesignInput& input,
         const auto& c1 = candidates[l1];
         const auto& c2 = candidates[l2];
         double best = kInfeasible;
-        for (const auto [u1, v1] : {std::pair{c1.site_a, c1.site_b},
-                                    std::pair{c1.site_b, c1.site_a}}) {
-          for (const auto [u2, v2] : {std::pair{c2.site_a, c2.site_b},
-                                      std::pair{c2.site_b, c2.site_a}}) {
+        for (const auto& [u1, v1] : {std::pair{c1.site_a, c1.site_b},
+                                     std::pair{c1.site_b, c1.site_a}}) {
+          for (const auto& [u2, v2] : {std::pair{c2.site_a, c2.site_b},
+                                       std::pair{c2.site_b, c2.site_a}}) {
             best = std::min(best, fiber(s, u1) + c1.mw_km + fiber(v1, u2) +
                                       c2.mw_km + fiber(v2, t));
           }

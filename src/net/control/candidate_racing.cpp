@@ -65,11 +65,11 @@ const char* to_string(RaceWinner winner) {
   return "unknown";
 }
 
-std::vector<graphs::Path> RacingReport::traffic_paths() const {
-  std::vector<graphs::Path> paths;
-  paths.reserve(outcomes.size());
-  for (const RaceOutcome& out : outcomes) paths.push_back(out.path);
-  return paths;
+MultipathRouteSet RacingReport::route_set() const {
+  MultipathRouteSet set;
+  set.pair_paths.reserve(outcomes.size());
+  for (const RaceOutcome& out : outcomes) set.push_single(out.path);
+  return set;
 }
 
 CandidateRacer::CandidateRacer(const LinkPlan& plan,

@@ -76,8 +76,9 @@ struct RacingReport {
   /// Pairs racing fiber because their repaired route was denied.
   std::size_t recovered_pairs = 0;
 
-  /// Winner paths for TrafficRunOptions::paths (empty path = denied).
-  [[nodiscard]] std::vector<graphs::Path> traffic_paths() const;
+  /// Winner paths as weight-1 route sets for TrafficRunOptions::route_set
+  /// (empty set = denied).
+  [[nodiscard]] MultipathRouteSet route_set() const;
 };
 
 /// Races candidates for a fixed demand set over one plan. Construction

@@ -453,11 +453,11 @@ void RouteRepairer::reset() {
   if (!deltas.empty()) apply(deltas);
 }
 
-std::vector<graphs::Path> RouteRepairer::traffic_paths() const {
-  std::vector<graphs::Path> paths;
-  paths.reserve(routes_.size());
-  for (const PairRoute& route : routes_) paths.push_back(route.path);
-  return paths;
+MultipathRouteSet RouteRepairer::route_set() const {
+  MultipathRouteSet set;
+  set.pair_paths.reserve(routes_.size());
+  for (const PairRoute& route : routes_) set.push_single(route.path);
+  return set;
 }
 
 std::vector<double> RouteRepairer::capacity_factors() const {

@@ -139,8 +139,9 @@ class RouteRepairer {
   /// removed — pair paths index into this graph).
   [[nodiscard]] const SimTopologyView& view() const { return topo_.view; }
 
-  /// Per-demand paths for TrafficRunOptions::paths (empty path = denied).
-  [[nodiscard]] std::vector<graphs::Path> traffic_paths() const;
+  /// Per-demand weight-1 route sets for TrafficRunOptions::route_set
+  /// (empty set = denied).
+  [[nodiscard]] MultipathRouteSet route_set() const;
   /// Per-duplex-link capacity factors for TrafficRunOptions::
   /// capacity_factor (0 for downed links).
   [[nodiscard]] std::vector<double> capacity_factors() const;

@@ -1,19 +1,21 @@
 #pragma once
-// Weighted multipath route sets through the fluid allocators. The
-// allocators (max_min, alpha_fair) are path-per-flow machines; multipath
-// pairs are realized by EXPANSION: each (pair, weighted path) becomes one
-// subflow whose offered rate is the pair's rate times the path's weight,
-// the unchanged allocators run over the subflows (per-slot-write
-// discipline untouched, so allocations stay byte-identical at every
-// thread count), and the result folds back to pair grain.
+// Route sets through the fluid allocators. Every fluid evaluation — scheme
+// routing, repaired detours, raced fallbacks and TE splits alike — hands a
+// MultipathRouteSet to realize_routes(): a pinned path is a weight-1 set and
+// a denied pair is an empty one. The allocators (max_min, alpha_fair) are
+// path-per-flow machines, so route sets are realized by EXPANSION: each
+// (pair, weighted path) becomes one subflow whose offered rate is the
+// pair's rate times the path's weight, the unchanged allocators run over
+// the subflows (per-slot-write discipline untouched, so allocations stay
+// byte-identical at every thread count), and the result folds back to
+// pair grain.
 //
 // Fairness semantics note (documented, deliberate): max-min over subflows
 // is not max-min over pairs — a pair split two ways owns two claims at
 // the water level. The elastic backend compensates exactly: subflow
 // utility weights are users * split_weight, so a pair's total weight is
 // its user count regardless of how it splits. Denied pairs (empty route
-// set entries) expand to no subflows and deliver zero, mirroring the
-// single-path override convention.
+// set entries) expand to no subflows and deliver zero.
 //
 // Zero-rate pairs keep their subflows (at zero demand) — pair and
 // subflow indices stay stable across in-place demand rewrites, which is
@@ -40,30 +42,62 @@ struct SubflowExpansion {
   std::vector<double> weights;
   /// Subflow -> pair index.
   std::vector<std::uint32_t> pair_of;
-  std::size_t pair_count = 0;
 };
 
-/// Expands a demand matrix against its multipath route set. Requires one
-/// route-set entry per pair; weights must be positive and finite (they
-/// are NOT renormalized here — the optimizer owns that invariant) and
-/// paths non-empty. Empty entries (denied pairs) expand to nothing.
-[[nodiscard]] SubflowExpansion expand_multipath(
-    const DemandMatrix& demands, const net::MultipathRouteSet& routes);
+/// Expands a demand matrix against its route set, moving the paths out of
+/// `routes`. Requires one route-set entry per pair; weights must be
+/// positive, finite and sum to 1 per pair (they are NOT renormalized here
+/// — the producer owns that invariant) and paths non-empty. Empty entries
+/// (denied pairs) expand to nothing.
+[[nodiscard]] SubflowExpansion expand_multipath(const DemandMatrix& demands,
+                                                MultipathRouteSet routes);
 
-/// Folds a subflow allocation back to pair grain: per-pair rate is the
-/// sum of the pair's subflow rates; edge loads and round counters pass
-/// through unchanged.
-[[nodiscard]] Allocation fold_subflows(const SubflowExpansion& expansion,
-                                       const Allocation& subflow_allocation);
+/// How realize_routes allocates the subflows.
+struct RealizeOptions {
+  /// false: demand-capped max-min (the Flow backend); true: weighted
+  /// alpha-fair at `alpha` (the Elastic backend).
+  bool elastic = false;
+  double alpha = 1.0;
+  /// Allocator sharding (1 = serial, 0 = all cores); byte-identical for
+  /// every value.
+  std::size_t threads = 1;
+  /// Optional allocator state carried across calls (nullptr = cold). Its
+  /// incidence cache is fingerprint-guarded, so route churn rebuilds it
+  /// silently and unchanged routes reuse it.
+  WarmState* warm = nullptr;
+};
 
-/// Per-pair outcomes of a subflow allocation (the multipath counterpart
-/// of pair_outcomes). A pair's latency is the delivered-rate-weighted
-/// mean over its subflows — offered-rate-weighted when the pair
-/// delivered nothing — and its stretch divides by the direct geodesic
-/// latency at c, exactly like the single-path monitors.
-[[nodiscard]] std::vector<PairOutcome> multipath_pair_outcomes(
-    const SimTopologyView& view, const SubflowExpansion& expansion,
-    const DemandMatrix& demands, const Allocation& subflow_allocation,
-    const DirectKmFn& direct_km);
+/// A route set realized on the fluid allocators, at pair grain.
+struct Realization {
+  /// Demand order. A pair routed on one path reports that path's latency,
+  /// whatever it delivered; a split pair reports the delivered-rate-
+  /// weighted mean over its paths (offered-rate-weighted when it delivered
+  /// nothing). Stretch divides by the direct geodesic latency at c (1 for
+  /// co-located sites). A denied pair reports latency 0 and stretch 0.
+  std::vector<PairOutcome> outcomes;
+  /// Per-pair rate (sum of the pair's subflow rates); edge loads and
+  /// round counters are the subflow allocation's.
+  Allocation allocation;
+  FlowLevelStats stats;
+  /// Offline predictions with every routed subflow at its offered rate:
+  /// demand-weighted mean path latency (s) and max link utilization over
+  /// positive-capacity edges.
+  double mean_path_latency_s = 0.0;
+  double predicted_max_utilization = 0.0;
+  /// Pairs with an empty route set.
+  std::size_t denied_pairs = 0;
+};
+
+/// Realizes `routes` for `demands` over `view` (whose capacities already
+/// carry any derates). Every path must be pinned over THIS view — edge ids
+/// in range, each edge joining its consecutive nodes, endpoints matching
+/// the pair — so a route set planned against another plan throws
+/// cisp::Error instead of indexing out of range. `direct_km` supplies the
+/// stretch denominator.
+[[nodiscard]] Realization realize_routes(const SimTopologyView& view,
+                                         const DemandMatrix& demands,
+                                         MultipathRouteSet routes,
+                                         const DirectKmFn& direct_km,
+                                         const RealizeOptions& options = {});
 
 }  // namespace cisp::net::flow

@@ -5,6 +5,7 @@
 // Routes are computed offline from the demand set and installed as
 // per-(src,dst) next hops.
 
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -54,13 +55,20 @@ struct WeightedPath {
   double weight = 1.0;
 };
 
-/// Per-demand weighted route sets — the multipath counterpart of
-/// RoutingResult::paths, produced by the TE split optimizer
-/// (net/te/split.hpp) and consumed through TrafficRunOptions::route_set.
-/// An EMPTY per-pair list marks a denied pair (same convention as an
-/// empty path in the single-path override).
+/// Per-demand weighted route sets — the one route shape the fluid stack
+/// realizes (flow::realize_routes). The TE split optimizer
+/// (net/te/split.hpp) produces real splits; the route repairer, candidate
+/// racing and scheme routing produce weight-1 sets. An EMPTY per-pair
+/// list marks a denied pair.
 struct MultipathRouteSet {
   std::vector<std::vector<WeightedPath>> pair_paths;
+
+  /// Appends the next pair pinned to `path` at weight 1; an empty path
+  /// appends a denied (empty) set.
+  void push_single(graphs::Path path) {
+    auto& set = pair_paths.emplace_back();
+    if (!path.empty()) set.push_back({std::move(path), 1.0});
+  }
 };
 
 /// Resolves the graph-edge sequence of a path: the pinned `path.edges`

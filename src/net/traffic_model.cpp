@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "engine/executor.hpp"
 #include "geo/latlon.hpp"
-#include "net/flow/alpha_fair.hpp"
-#include "net/flow/max_min.hpp"
 #include "net/flow/multipath.hpp"
 #include "net/shard.hpp"
 #include "obs/trace.hpp"
@@ -60,10 +59,9 @@ class PacketTrafficModel final : public TrafficModel {
 
   [[nodiscard]] TrafficReport run(const flow::DemandMatrix& demands,
                                   const TrafficRunOptions& options) override {
-    CISP_REQUIRE(options.paths == nullptr && options.capacity_factor == nullptr,
-                 "control-plane route/capacity overrides are fluid-only");
-    CISP_REQUIRE(options.route_set == nullptr,
-                 "multipath TE route sets are fluid-only");
+    CISP_REQUIRE(options.route_set == nullptr &&
+                     options.capacity_factor == nullptr,
+                 "route-set and capacity overrides are fluid-only");
     const obs::TraceSpan span("traffic.packet", "traffic", "flows",
                               static_cast<double>(demands.flow_count()));
     // Plan and route once, centrally: routes pin their edges, which both
@@ -187,65 +185,9 @@ class PacketTrafficModel final : public TrafficModel {
   BuildOptions build_;
 };
 
-/// Stale-override guard: route overrides are bare pointers with "must
-/// outlive the run" contracts, and a timeline re-submitting last epoch's
-/// repaired routes against this epoch's plan would otherwise walk
-/// out-of-range edge ids straight into UB. Every non-empty path must be
-/// pinned over THIS run's graph: edge ids in range, each edge connecting
-/// its consecutive nodes, endpoints matching the demand pair.
-void validate_one_override_path(const SimTopologyView& view,
-                                const TrafficDemand& demand,
-                                const graphs::Path& path) {
-  const std::size_t nodes = view.latency_graph.node_count();
-  const std::size_t edges = view.latency_graph.edge_count();
-  CISP_REQUIRE(path.nodes.front() == demand.src &&
-                   path.nodes.back() == demand.dst,
-               "route override endpoints do not match the demand pair");
-  for (const graphs::NodeId n : path.nodes) {
-    CISP_REQUIRE(n < nodes,
-                 "route override references a node outside the run's plan");
-  }
-  if (path.edges.empty()) return;  // unpinned: resolved per hop later
-  CISP_REQUIRE(path.edges.size() + 1 == path.nodes.size(),
-               "route override path has inconsistent edge pinning");
-  for (std::size_t i = 0; i < path.edges.size(); ++i) {
-    const graphs::EdgeId eid = path.edges[i];
-    CISP_REQUIRE(eid < edges,
-                 "route override references an edge outside the run's plan");
-    const graphs::Edge& edge = view.latency_graph.edge(eid);
-    CISP_REQUIRE(edge.from == path.nodes[i] && edge.to == path.nodes[i + 1],
-                 "route override path is stale for the run's plan");
-  }
-}
-
-void validate_path_override(const SimTopologyView& view,
-                            const std::vector<TrafficDemand>& demand_list,
-                            const std::vector<graphs::Path>& paths) {
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    if (paths[f].empty()) continue;  // denied pair
-    validate_one_override_path(view, demand_list[f], paths[f]);
-  }
-}
-
-/// The same stale-route guard for weighted multipath sets: every member
-/// path of every pair must be pinned over THIS run's graph.
-void validate_route_set(const SimTopologyView& view,
-                        const std::vector<TrafficDemand>& demand_list,
-                        const MultipathRouteSet& routes) {
-  CISP_REQUIRE(routes.pair_paths.size() == demand_list.size(),
-               "multipath route set must cover every demand pair");
-  for (std::size_t f = 0; f < routes.pair_paths.size(); ++f) {
-    for (const WeightedPath& wp : routes.pair_paths[f]) {
-      CISP_REQUIRE(!wp.path.empty(),
-                   "multipath route set entries must be non-empty paths");
-      validate_one_override_path(view, demand_list[f], wp.path);
-    }
-  }
-}
-
 /// The fluid backends: max-min (Flow) and weighted alpha-fair (Elastic)
 /// share everything but the allocation step — same plan, same routes,
-/// same monitors.
+/// same monitors — and realize every routing through one route set.
 class FluidTrafficModel final : public TrafficModel {
  public:
   FluidTrafficModel(TrafficBackend backend, const design::DesignInput& input,
@@ -281,110 +223,31 @@ class FluidTrafficModel final : public TrafficModel {
         topo.view.capacity_bps[e] *= factors[topo.view.edge_to_link[e] / 2];
       }
     }
-    const auto demand_list = demands.to_demands();
+    MultipathRouteSet routes;
     if (options.route_set != nullptr) {
-      CISP_REQUIRE(options.paths == nullptr,
-                   "paths and route_set overrides are mutually exclusive");
-      return run_multipath(topo.view, demands, demand_list, options);
-    }
-    RoutingResult routes;
-    if (options.paths != nullptr) {
-      // Control-plane override: routes were repaired upstream; recover
-      // the offline predictions compute_routes would have reported,
-      // skipping denied (empty-path) pairs.
-      CISP_REQUIRE(options.paths->size() == demand_list.size(),
-                   "route override must cover every demand pair");
-      validate_path_override(topo.view, demand_list, *options.paths);
-      routes.paths = *options.paths;
-      std::vector<double> load_bps(topo.view.capacity_bps.size(), 0.0);
-      double latency_acc = 0.0;
-      double rate_acc = 0.0;
-      for (std::size_t f = 0; f < routes.paths.size(); ++f) {
-        if (routes.paths[f].empty()) continue;
-        double latency_s = 0.0;
-        for (const graphs::EdgeId eid :
-             path_edges(topo.view.latency_graph, routes.paths[f])) {
-          latency_s += topo.view.latency_graph.edge(eid).weight;
-          load_bps[eid] += demand_list[f].rate_bps;
-        }
-        latency_acc += latency_s * demand_list[f].rate_bps;
-        rate_acc += demand_list[f].rate_bps;
-      }
-      routes.mean_path_latency_s = rate_acc > 0.0 ? latency_acc / rate_acc
-                                                  : 0.0;
-      for (std::size_t e = 0; e < load_bps.size(); ++e) {
-        if (topo.view.capacity_bps[e] <= 0.0) continue;
-        routes.max_link_utilization =
-            std::max(routes.max_link_utilization,
-                     load_bps[e] / topo.view.capacity_bps[e]);
-      }
+      routes = *options.route_set;
     } else {
-      routes = compute_routes(topo.view, demand_list, options.scheme);
-    }
-
-    // Denied pairs (empty paths) are excluded from the allocation — the
-    // allocators require routable flows — and delivered zero; their
-    // offered demand still counts in the monitors.
-    std::vector<std::size_t> served;
-    served.reserve(demands.pairs().size());
-    for (std::size_t f = 0; f < routes.paths.size(); ++f) {
-      if (!routes.paths[f].empty()) served.push_back(f);
-    }
-    const bool all_served = served.size() == demands.pairs().size();
-
-    std::vector<double> rates;
-    rates.reserve(served.size());
-    std::vector<graphs::Path> served_paths;
-    if (!all_served) served_paths.reserve(served.size());
-    for (const std::size_t f : served) {
-      rates.push_back(demands.pairs()[f].rate_bps);
-      if (!all_served) served_paths.push_back(routes.paths[f]);
-    }
-    const std::vector<graphs::Path>& alloc_paths =
-        all_served ? routes.paths : served_paths;
-
-    flow::Allocation allocation;
-    if (served.empty()) {
-      allocation.edge_load_bps.assign(topo.view.capacity_bps.size(), 0.0);
-    } else if (backend_ == TrafficBackend::Elastic) {
-      // Per-user fairness: each aggregated pair's utility is weighted by
-      // the users fused into it.
-      std::vector<double> weights;
-      weights.reserve(served.size());
-      for (const std::size_t f : served) {
-        weights.push_back(static_cast<double>(
-            std::max<std::uint64_t>(1, demands.pairs()[f].users)));
+      RoutingResult scheme_routes =
+          compute_routes(topo.view, demands.to_demands(), options.scheme);
+      routes.pair_paths.reserve(scheme_routes.paths.size());
+      for (graphs::Path& path : scheme_routes.paths) {
+        routes.push_single(std::move(path));
       }
-      flow::ElasticOptions elastic;
-      elastic.alpha = options.alpha;
-      elastic.threads = options.threads;
-      allocation = flow::alpha_fair_allocate(topo.view, alloc_paths, rates,
-                                             weights, elastic);
-    } else {
-      flow::AllocatorOptions alloc_options;
-      alloc_options.threads = options.threads;
-      allocation =
-          flow::max_min_allocate(topo.view, alloc_paths, rates,
-                                 alloc_options);
-    }
-    if (!all_served) {
-      // Scatter the sub-allocation back to full pair order.
-      std::vector<double> full_rates(demands.pairs().size(), 0.0);
-      for (std::size_t i = 0; i < served.size(); ++i) {
-        full_rates[served[i]] = allocation.rate_bps[i];
-      }
-      allocation.rate_bps = std::move(full_rates);
     }
 
-    TrafficReport report;
-    report.pairs = flow::pair_outcomes(
-        topo.view, routes.paths, demands, allocation,
+    flow::RealizeOptions realize;
+    realize.elastic = backend_ == TrafficBackend::Elastic;
+    realize.alpha = options.alpha;
+    realize.threads = options.threads;
+    flow::Realization realized = flow::realize_routes(
+        topo.view, demands, std::move(routes),
         [this](std::uint32_t s, std::uint32_t t) {
           return input_.geodesic_km(s, t);
-        });
-    const flow::FlowLevelStats stats =
-        flow::summarize(topo.view, report.pairs, allocation);
+        },
+        realize);
 
+    TrafficReport report;
+    const flow::FlowLevelStats& stats = realized.stats;
     report.stats.backend = backend_;
     report.stats.flows = stats.flows;
     report.stats.users = stats.users;
@@ -396,95 +259,15 @@ class FluidTrafficModel final : public TrafficModel {
     report.stats.max_stretch = stats.max_stretch;
     report.stats.mean_link_utilization = stats.mean_link_utilization;
     report.stats.max_link_utilization = stats.max_link_utilization;
-    report.stats.mean_path_latency_s = routes.mean_path_latency_s;
-    report.stats.predicted_max_utilization = routes.max_link_utilization;
+    report.stats.mean_path_latency_s = realized.mean_path_latency_s;
+    report.stats.predicted_max_utilization =
+        realized.predicted_max_utilization;
     report.stats.allocation_rounds = stats.allocation_rounds;
+    report.pairs = std::move(realized.outcomes);
     return report;
   }
 
  private:
-  /// The TE multipath leg of run(): expand pairs into weighted subflows,
-  /// allocate over the subflows with the unchanged (byte-deterministic)
-  /// allocators, fold back to pair grain. `view` already carries the
-  /// run's capacity derates.
-  [[nodiscard]] TrafficReport run_multipath(
-      const SimTopologyView& view, const flow::DemandMatrix& demands,
-      const std::vector<TrafficDemand>& demand_list,
-      const TrafficRunOptions& options) {
-    validate_route_set(view, demand_list, *options.route_set);
-    const flow::SubflowExpansion expansion =
-        flow::expand_multipath(demands, *options.route_set);
-
-    // Offline predictions at offered load, the multipath analogue of the
-    // single-path override's recovery of compute_routes' figures.
-    RoutingResult routes;
-    {
-      std::vector<double> load_bps(view.capacity_bps.size(), 0.0);
-      double latency_acc = 0.0;
-      double rate_acc = 0.0;
-      for (std::size_t s = 0; s < expansion.paths.size(); ++s) {
-        double latency_s = 0.0;
-        for (const graphs::EdgeId eid :
-             path_edges(view.latency_graph, expansion.paths[s])) {
-          latency_s += view.latency_graph.edge(eid).weight;
-          load_bps[eid] += expansion.demand_bps[s];
-        }
-        latency_acc += latency_s * expansion.demand_bps[s];
-        rate_acc += expansion.demand_bps[s];
-      }
-      routes.mean_path_latency_s =
-          rate_acc > 0.0 ? latency_acc / rate_acc : 0.0;
-      for (std::size_t e = 0; e < load_bps.size(); ++e) {
-        if (view.capacity_bps[e] <= 0.0) continue;
-        routes.max_link_utilization = std::max(
-            routes.max_link_utilization, load_bps[e] / view.capacity_bps[e]);
-      }
-    }
-
-    flow::Allocation sub_alloc;
-    if (expansion.paths.empty()) {
-      sub_alloc.edge_load_bps.assign(view.capacity_bps.size(), 0.0);
-    } else if (backend_ == TrafficBackend::Elastic) {
-      flow::ElasticOptions elastic;
-      elastic.alpha = options.alpha;
-      elastic.threads = options.threads;
-      sub_alloc = flow::alpha_fair_allocate(view, expansion.paths,
-                                            expansion.demand_bps,
-                                            expansion.weights, elastic);
-    } else {
-      flow::AllocatorOptions alloc_options;
-      alloc_options.threads = options.threads;
-      sub_alloc = flow::max_min_allocate(view, expansion.paths,
-                                         expansion.demand_bps, alloc_options);
-    }
-
-    TrafficReport report;
-    report.pairs = flow::multipath_pair_outcomes(
-        view, expansion, demands, sub_alloc,
-        [this](std::uint32_t s, std::uint32_t t) {
-          return input_.geodesic_km(s, t);
-        });
-    const flow::Allocation folded = flow::fold_subflows(expansion, sub_alloc);
-    const flow::FlowLevelStats stats =
-        flow::summarize(view, report.pairs, folded);
-
-    report.stats.backend = backend_;
-    report.stats.flows = stats.flows;
-    report.stats.users = stats.users;
-    report.stats.offered_bps = stats.offered_bps;
-    report.stats.delivered_bps = stats.delivered_bps;
-    report.stats.loss_rate = stats.loss_rate;
-    report.stats.mean_delay_s = stats.mean_delay_s;
-    report.stats.mean_stretch = stats.mean_stretch;
-    report.stats.max_stretch = stats.max_stretch;
-    report.stats.mean_link_utilization = stats.mean_link_utilization;
-    report.stats.max_link_utilization = stats.max_link_utilization;
-    report.stats.mean_path_latency_s = routes.mean_path_latency_s;
-    report.stats.predicted_max_utilization = routes.max_link_utilization;
-    report.stats.allocation_rounds = stats.allocation_rounds;
-    return report;
-  }
-
   TrafficBackend backend_;
   const design::DesignInput& input_;
   const design::CapacityPlan& plan_;

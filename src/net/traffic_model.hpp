@@ -69,27 +69,20 @@ struct TrafficRunOptions {
   /// instead of planning from (input, capacity plan) — the failure models
   /// hand in a plan with links already cut. Must outlive the run.
   const LinkPlan* plan = nullptr;
-  /// Control-plane route override (fluid backends only): one path per
-  /// demand-matrix pair, graph-edge-pinned over the run's plan, as
-  /// produced by control::RouteRepairer::traffic_paths(). An EMPTY path
-  /// marks a pair the detour policy DENIED: its offered demand is counted
-  /// but it is excluded from allocation and delivered zero. When set,
-  /// `scheme` is ignored. Must outlive the run; the packet backend
-  /// rejects it.
-  const std::vector<graphs::Path>* paths = nullptr;
-  /// TE multipath route override (fluid backends only): one WEIGHTED path
-  /// set per demand-matrix pair over the run's plan, as produced by
-  /// te::solve_splits. Pairs expand into per-path subflows (rate * weight
-  /// offered each; elastic utility weights scale by the split so per-user
-  /// fairness is split-invariant), the unchanged allocators run over the
-  /// subflows, and results fold back to pair grain. An EMPTY set denies
-  /// the pair (counted, delivered zero). When set, `scheme` is ignored;
-  /// mutually exclusive with `paths`. Must outlive the run; the packet
-  /// backend rejects it.
+  /// Route override (fluid backends only): one weighted route set per
+  /// demand-matrix pair over the run's plan — a TE split
+  /// (te::solve_splits), a repaired route (control::RouteRepairer::
+  /// route_set()) or a raced winner (control::RacingReport::route_set()),
+  /// the last two at weight 1. Pairs expand into per-path subflows (rate *
+  /// weight offered each; elastic utility weights scale by the split so
+  /// per-user fairness is split-invariant), the unchanged allocators run
+  /// over the subflows, and results fold back to pair grain. An EMPTY set
+  /// denies the pair (counted, delivered zero). When set, `scheme` is
+  /// ignored. Must outlive the run; the packet backend rejects it.
   const MultipathRouteSet* route_set = nullptr;
   /// Per-duplex-link capacity derate factors in [0, 1] over the run's
   /// plan (control::RouteRepairer::capacity_factors(): weather-derated
-  /// links < 1, downed links 0 — the paths override already avoids the
+  /// links < 1, downed links 0 — a repaired route set already avoids the
   /// latter). Fluid backends only; must outlive the run.
   const std::vector<double>* capacity_factor = nullptr;
 };

@@ -341,8 +341,12 @@ TEST(RouteRepair, RepairsThePinnedRoutingNonMonotonicity) {
       deltas.push_back(control::LinkDelta{link, false});
     }
     (void)repairer.apply(deltas);
+    std::vector<graphs::Path> repaired_paths;
+    for (const auto& route : repairer.routes()) {
+      repaired_paths.push_back(route.path);
+    }
     repaired.push_back(
-        unserved_gbps(repairer.view(), repairer.traffic_paths(), f.demands));
+        unserved_gbps(repairer.view(), repaired_paths, f.demands));
   }
 
   // Pinned reproduces the PR 5 dip: cutting ONE trunk strands demand on
@@ -519,14 +523,14 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
   }
   EXPECT_EQ(denied_intact, 10u);
   options.plan = &base_plan;
-  const auto intact_paths = repairer.traffic_paths();
+  const auto intact_routes = repairer.route_set();
   const auto intact_factors = repairer.capacity_factors();
-  options.paths = &intact_paths;
+  options.route_set = &intact_routes;
   options.capacity_factor = &intact_factors;
   const auto partial = model->run(demands, options);
   double denied_offered = 0.0;
-  for (std::size_t p = 0; p < intact_paths.size(); ++p) {
-    if (!intact_paths[p].empty()) continue;
+  for (std::size_t p = 0; p < intact_routes.pair_paths.size(); ++p) {
+    if (!intact_routes.pair_paths[p].empty()) continue;
     denied_offered += demands.pairs()[p].rate_bps;
     EXPECT_EQ(partial.pairs[p].delivered_bps, 0.0);
   }
@@ -540,9 +544,9 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
   }
   const auto stats = repairer.apply(down);
   EXPECT_EQ(stats.denied_pairs, demands.pairs().size());
-  const auto paths = repairer.traffic_paths();
+  const auto routes = repairer.route_set();
   const auto factors = repairer.capacity_factors();
-  options.paths = &paths;
+  options.route_set = &routes;
   options.capacity_factor = &factors;
   const auto degraded = model->run(demands, options);
   EXPECT_EQ(degraded.stats.delivered_bps, 0.0);
@@ -555,9 +559,9 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
     derate.push_back({i, true, 0.5});
   }
   (void)derater.apply(derate);
-  const auto derated_paths = derater.traffic_paths();
+  const auto derated_routes = derater.route_set();
   const auto derated_factors = derater.capacity_factors();
-  options.paths = &derated_paths;
+  options.route_set = &derated_routes;
   options.capacity_factor = &derated_factors;
   const auto derated = model->run(demands, options);
   EXPECT_NEAR(derated.stats.max_link_utilization,
@@ -569,8 +573,8 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
 }
 
 TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
-  // The raw pointers in TrafficRunOptions are lifetime hazards: a paths
-  // vector pinned against an older plan, or a factor vector of the wrong
+  // The raw pointers in TrafficRunOptions are lifetime hazards: a route
+  // set pinned against an older plan, or a factor vector of the wrong
   // length, used to walk straight into unchecked graph-edge indexing (UB).
   // Every malformed override must fail with cisp::Error at run entry.
   const auto input = seam_input();
@@ -583,62 +587,73 @@ TEST(ControlSeam, RejectsStaleOrMalformedOverrides) {
     return input.geodesic_km(s, t);
   };
   control::RouteRepairer repairer(base_plan, demands.to_demands(), {}, direct);
-  const auto good_paths = repairer.traffic_paths();
+  const auto good_routes = repairer.route_set();
   const auto good_factors = repairer.capacity_factors();
 
   const auto model = make_traffic_model(TrafficBackend::Flow, input, plan);
   TrafficRunOptions options;
   options.plan = &base_plan;
-  options.paths = &good_paths;
+  options.route_set = &good_routes;
   options.capacity_factor = &good_factors;
   EXPECT_NO_THROW((void)model->run(demands, options));
 
   {
-    // One path per demand pair, no more, no fewer.
-    auto too_few = good_paths;
-    too_few.pop_back();
+    // One route set per demand pair, no more, no fewer.
+    auto too_few = good_routes;
+    too_few.pair_paths.pop_back();
     TrafficRunOptions bad = options;
-    bad.paths = &too_few;
+    bad.route_set = &too_few;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
     // Endpoints must match the pair the path is for.
-    auto wrong_ends = good_paths;
-    wrong_ends.front().nodes.front() =
-        wrong_ends.front().nodes.front() == 2 ? 3 : 2;
+    auto wrong_ends = good_routes;
+    auto& nodes = wrong_ends.pair_paths.front().front().path.nodes;
+    nodes.front() = nodes.front() == 2 ? 3 : 2;
     TrafficRunOptions bad = options;
-    bad.paths = &wrong_ends;
+    bad.route_set = &wrong_ends;
+    EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
+  }
+  {
+    // A node id beyond the run plan's node space.
+    auto out_of_range = good_routes;
+    auto& nodes = out_of_range.pair_paths.front().front().path.nodes;
+    nodes.insert(nodes.begin() + 1, 1000000);
+    TrafficRunOptions bad = options;
+    bad.route_set = &out_of_range;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
     // A pinned edge id beyond the run plan's edge space (the classic
     // stale-paths symptom after the plan shrinks).
-    auto out_of_range = good_paths;
-    ASSERT_FALSE(out_of_range.front().edges.empty());
-    out_of_range.front().edges.front() = 1000000;
+    auto out_of_range = good_routes;
+    auto& path = out_of_range.pair_paths.front().front().path;
+    ASSERT_FALSE(path.edges.empty());
+    path.edges.front() = 1000000;
     TrafficRunOptions bad = options;
-    bad.paths = &out_of_range;
+    bad.route_set = &out_of_range;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {
     // An in-range edge that does not connect the path's consecutive
     // nodes: pinned against a different plan's edge numbering.
     const TopologyView topo = view_from_plan(base_plan);
-    auto stale = good_paths;
-    ASSERT_FALSE(stale.front().edges.empty());
-    const auto want_from = stale.front().nodes[0];
+    auto stale = good_routes;
+    auto& path = stale.pair_paths.front().front().path;
+    ASSERT_FALSE(path.edges.empty());
+    const auto want_from = path.nodes[0];
     bool tampered = false;
     for (graphs::EdgeId e = 0; e < topo.view.edge_to_link.size(); ++e) {
       const auto& edge = topo.view.latency_graph.edge(e);
       if (edge.from != want_from) {
-        stale.front().edges.front() = e;
+        path.edges.front() = e;
         tampered = true;
         break;
       }
     }
     ASSERT_TRUE(tampered);
     TrafficRunOptions bad = options;
-    bad.paths = &stale;
+    bad.route_set = &stale;
     EXPECT_THROW((void)model->run(demands, bad), cisp::Error);
   }
   {

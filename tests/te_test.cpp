@@ -367,7 +367,6 @@ TEST(TeMultipath, ExpansionValidatesWeightsAndFoldsBack) {
   const flow::SubflowExpansion expansion =
       flow::expand_multipath(demands, split.routes);
   ASSERT_EQ(expansion.paths.size(), 2u);
-  EXPECT_EQ(expansion.pair_count, 1u);
   EXPECT_NEAR(expansion.demand_bps[0] + expansion.demand_bps[1], 16e9, 1.0);
   // Elastic utility weights: users * split weight, so the pair's total
   // weight is its user count no matter how it splits.
@@ -376,9 +375,10 @@ TEST(TeMultipath, ExpansionValidatesWeightsAndFoldsBack) {
   flow::AllocatorOptions alloc_options;
   const flow::Allocation subflows = flow::max_min_allocate(
       topo.view, expansion.paths, expansion.demand_bps, alloc_options);
-  const flow::Allocation folded = flow::fold_subflows(expansion, subflows);
-  ASSERT_EQ(folded.rate_bps.size(), 1u);
-  EXPECT_EQ(folded.rate_bps[0],
+  const flow::Realization realized =
+      flow::realize_routes(topo.view, demands, split.routes, f.direct_km());
+  ASSERT_EQ(realized.allocation.rate_bps.size(), 1u);
+  EXPECT_EQ(realized.allocation.rate_bps[0],
             subflows.rate_bps[0] + subflows.rate_bps[1]);
 
   // Weights that do not sum to 1 are an optimizer bug, not a request.
@@ -440,16 +440,27 @@ TEST(TeMultipath, RouteSetThroughTheFluidSeamMatchesManualExpansion) {
   ASSERT_EQ(report.pairs.size(), 1u);
   EXPECT_EQ(report.pairs[0].delivered_bps, 16e9);
 
-  // The seam must agree with doing the expansion by hand.
+  // The seam must agree with doing the expansion by hand: a split pair's
+  // latency is the delivered-rate-weighted mean over its paths.
   const flow::SubflowExpansion expansion =
       flow::expand_multipath(demands, split.routes);
   flow::AllocatorOptions alloc_options;
   const flow::Allocation subflows = flow::max_min_allocate(
       topo.view, expansion.paths, expansion.demand_bps, alloc_options);
-  const auto outcomes = flow::multipath_pair_outcomes(
-      topo.view, expansion, demands, subflows, f.direct_km());
-  EXPECT_EQ(report.pairs[0].latency_s, outcomes[0].latency_s);
-  EXPECT_EQ(report.pairs[0].stretch, outcomes[0].stretch);
+  double latency_acc = 0.0;
+  double delivered = 0.0;
+  for (std::size_t s = 0; s < expansion.paths.size(); ++s) {
+    double latency_s = 0.0;
+    for (const graphs::EdgeId eid :
+         path_edges(topo.view.latency_graph, expansion.paths[s])) {
+      latency_s += topo.view.latency_graph.edge(eid).weight;
+    }
+    latency_acc += latency_s * subflows.rate_bps[s];
+    delivered += subflows.rate_bps[s];
+  }
+  const double direct_s = f.direct_km()(0, 3) / geo::kSpeedOfLightKmPerS;
+  EXPECT_EQ(report.pairs[0].latency_s, latency_acc / delivered);
+  EXPECT_EQ(report.pairs[0].stretch, report.pairs[0].latency_s / direct_s);
 
   // Denied pairs (empty entries) are counted but delivered zero.
   MultipathRouteSet denied;
@@ -462,7 +473,72 @@ TEST(TeMultipath, RouteSetThroughTheFluidSeamMatchesManualExpansion) {
   EXPECT_EQ(denied_report.stats.delivered_bps, 0.0);
 }
 
-TEST(TeMultipath, SeamRejectsPacketBackendAndPathsExclusivity) {
+TEST(TeMultipath, OnePathPairsReportTheirPathLatencyExactly) {
+  // A pair on one path reports that path's latency bit-for-bit whether it
+  // delivers all, part or none of its demand, or is offered nothing at
+  // all; the split formula (L * d) / d need not round back to L.
+  const ParallelFixture f = make_parallel();
+  const TopologyView topo = view_from_plan(f.plan);
+  const graphs::Path branch =
+      compute_routes(topo.view, {{0, 3, 1.0}}, RoutingScheme::ShortestPath)
+          .paths[0];
+  ASSERT_EQ(branch.nodes, (std::vector<graphs::NodeId>{0, 1, 3}));
+  double path_latency_s = 0.0;
+  for (const graphs::EdgeId eid : path_edges(topo.view.latency_graph, branch)) {
+    path_latency_s += topo.view.latency_graph.edge(eid).weight;
+  }
+  const double direct_s = f.direct_km()(0, 3) / geo::kSpeedOfLightKmPerS;
+
+  const auto input = seam_input(f);
+  const auto plan = seam_plan();
+  const auto model = make_traffic_model(TrafficBackend::Flow, input, plan);
+  MultipathRouteSet pinned;
+  pinned.push_single(branch);
+  const auto run_pair = [&](const flow::DemandMatrix& demands,
+                            const MultipathRouteSet& routes,
+                            double branch_factor) {
+    std::vector<double> factors(f.plan.links.size(), 1.0);
+    factors[0] = branch_factor;  // link 0 = 0-1, the branch's first hop
+    TrafficRunOptions run;
+    run.plan = &f.plan;
+    run.route_set = &routes;
+    run.capacity_factor = &factors;
+    const TrafficReport report = model->run(demands, run);
+    EXPECT_EQ(report.pairs.size(), 1u);
+    return report.pairs.at(0);
+  };
+
+  const auto all = run_pair(
+      flow::DemandMatrix::from_pairs({{0, 3, 10, 2e9}}), pinned, 1.0);
+  EXPECT_EQ(all.delivered_bps, 2e9);
+  const auto part = run_pair(
+      flow::DemandMatrix::from_pairs({{0, 3, 10, 16e9}}), pinned, 1.0);
+  EXPECT_GT(part.delivered_bps, 0.0);
+  EXPECT_LT(part.delivered_bps, 16e9);
+  const auto none = run_pair(
+      flow::DemandMatrix::from_pairs({{0, 3, 10, 2e9}}), pinned, 0.0);
+  EXPECT_EQ(none.delivered_bps, 0.0);
+  auto idle_demands = flow::DemandMatrix::from_pairs({{0, 3, 10, 2e9}});
+  idle_demands.update_rates(
+      [](std::size_t, const flow::PairDemand&) { return 0.0; });
+  const auto idle = run_pair(idle_demands, pinned, 1.0);
+  EXPECT_EQ(idle.offered_bps, 0.0);
+  for (const flow::PairOutcome& row : {all, part, none, idle}) {
+    EXPECT_EQ(row.latency_s, path_latency_s);
+    EXPECT_EQ(row.stretch, path_latency_s / direct_s);
+  }
+
+  // A denied pair (empty set) reports neither latency nor stretch.
+  MultipathRouteSet denied;
+  denied.push_single({});
+  const auto refused = run_pair(
+      flow::DemandMatrix::from_pairs({{0, 3, 10, 2e9}}), denied, 1.0);
+  EXPECT_EQ(refused.delivered_bps, 0.0);
+  EXPECT_EQ(refused.latency_s, 0.0);
+  EXPECT_EQ(refused.stretch, 0.0);
+}
+
+TEST(TeMultipath, SeamRejectsPacketBackend) {
   const ParallelFixture f = make_parallel();
   const TopologyView topo = view_from_plan(f.plan);
   const auto demands = flow::DemandMatrix::from_pairs({{0, 3, 10, 2e9}});
@@ -478,16 +554,6 @@ TEST(TeMultipath, SeamRejectsPacketBackendAndPathsExclusivity) {
   packet_run.plan = &f.plan;
   packet_run.route_set = &split.routes;
   EXPECT_THROW(packet->run(demands, packet_run), cisp::Error);
-
-  // paths and route_set are mutually exclusive overrides.
-  const auto fluid = make_traffic_model(TrafficBackend::Flow, input, plan);
-  const std::vector<graphs::Path> paths = {
-      split.routes.pair_paths[0][0].path};
-  TrafficRunOptions both;
-  both.plan = &f.plan;
-  both.route_set = &split.routes;
-  both.paths = &paths;
-  EXPECT_THROW(fluid->run(demands, both), cisp::Error);
 }
 
 // ---------------------------------------------------------------------------

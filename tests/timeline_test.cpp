@@ -297,7 +297,7 @@ TEST(Timeline, MatchesIndependentCellsThroughTheTrafficModelSeam) {
                                 options.policy, direct);
     (void)cell.apply(control::deltas_from_factors(link_plan, schedule[e],
                                                   cell.link_state()));
-    const auto paths = cell.traffic_paths();
+    const auto routes = cell.route_set();
     const auto factors = cell.capacity_factors();
 
     const double hour = static_cast<double>(e);
@@ -308,7 +308,7 @@ TEST(Timeline, MatchesIndependentCellsThroughTheTrafficModelSeam) {
 
     TrafficRunOptions run;
     run.plan = &link_plan;
-    run.paths = &paths;
+    run.route_set = &routes;
     run.capacity_factor = &factors;
     const TrafficReport cell_report = model->run(demands, run);
 
@@ -340,9 +340,14 @@ TEST(Timeline, WarmStateRebuildsOnPathChangeAndReusesOnRepeat) {
   const TopologyView topo = view_from_plan(f.plan);
   control::RouteRepairer repairer(f.plan, f.base.to_demands(), {},
                                   f.direct_km());
-  const auto paths_a = repairer.traffic_paths();
+  const auto current_paths = [&repairer] {
+    std::vector<graphs::Path> paths;
+    for (const auto& route : repairer.routes()) paths.push_back(route.path);
+    return paths;
+  };
+  const auto paths_a = current_paths();
   (void)repairer.apply({{f.mw_links.front(), false}});
-  const auto paths_b = repairer.traffic_paths();
+  const auto paths_b = current_paths();
   bool rerouted = false;
   ASSERT_EQ(paths_a.size(), paths_b.size());
   for (std::size_t p = 0; p < paths_a.size(); ++p) {
