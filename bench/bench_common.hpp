@@ -5,8 +5,10 @@
 // ExperimentContext — no env vars, no printing; run knobs arrive through
 // the cisp_experiments driver's flags and parameter overrides.
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cisp.hpp"
 
@@ -126,6 +128,26 @@ inline DesignedInstance designed_instance(const engine::ExperimentContext& ctx,
   auto traffic = infra::population_product_traffic(pcs);
   return {std::move(problem), std::move(topo), std::move(plan),
           std::move(pcs), std::move(traffic)};
+}
+
+/// The rain field over a designed instance: the sites' bounding box padded
+/// by 2 degrees, seeded from the run's base seed.
+inline weather::RainField design_rain(const engine::ExperimentContext& ctx,
+                                      const std::vector<geo::LatLon>& sites) {
+  terrain::BoundingBox box;
+  box.lat_min = 90.0;
+  box.lat_max = -90.0;
+  box.lon_min = 180.0;
+  box.lon_max = -180.0;
+  for (const auto& site : sites) {
+    box.lat_min = std::min(box.lat_min, site.lat_deg - 2.0);
+    box.lat_max = std::max(box.lat_max, site.lat_deg + 2.0);
+    box.lon_min = std::min(box.lon_min, site.lon_deg - 2.0);
+    box.lon_max = std::max(box.lon_max, site.lon_deg + 2.0);
+  }
+  weather::RainParams params;
+  params.seed = splitmix64(ctx.base_seed + 7);
+  return weather::RainField(box, params);
 }
 
 /// Per-cell knobs for run_traffic_cell.

@@ -68,30 +68,17 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   // per-link geometry, and per-epoch capacity factors precomputed ONCE
   // and replayed across every sweep cell (the cells differ only in how
   // routing reacts).
-  terrain::BoundingBox box;
-  box.lat_min = 90.0;
-  box.lat_max = -90.0;
-  box.lon_min = 180.0;
-  box.lon_max = -180.0;
-  for (const auto& site : instance.problem.sites) {
-    box.lat_min = std::min(box.lat_min, site.lat_deg - 2.0);
-    box.lat_max = std::max(box.lat_max, site.lat_deg + 2.0);
-    box.lon_min = std::min(box.lon_min, site.lon_deg - 2.0);
-    box.lon_max = std::max(box.lon_max, site.lon_deg + 2.0);
-  }
-  weather::RainParams rain_params;
-  rain_params.seed = splitmix64(ctx.base_seed + 7);
-  const weather::RainField rain(box, rain_params);
+  const weather::RainField rain =
+      bench::design_rain(ctx, instance.problem.sites);
   const auto geometry =
       net::control::link_geometry(base_plan, instance.problem.sites);
-  const net::control::WeatherCouplingParams coupling;
 
   std::vector<std::vector<double>> epoch_factors(epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
     const double t_s = (static_cast<double>(e) + 0.5) * weather::kYearS /
                        static_cast<double>(epochs);
-    epoch_factors[e] = net::control::link_capacity_factors(
-        base_plan, geometry, rain, t_s, coupling);
+    epoch_factors[e] =
+        net::control::link_capacity_factors(base_plan, geometry, rain, t_s);
   }
 
   // The FailureModel coupling: the same pipeline calibrates RandomDown's

@@ -29,11 +29,11 @@ engine::ResultSet run(const engine::ExperimentContext&) {
   auto& detail = results.add_table("sec8_detail", "§8 supporting numbers",
                                    {"quantity", "measured", "paper"});
   detail.row({"search profit/yr at +200 ms",
-              "$" + fmt(apps::web_search_profit_usd_per_year(200.0) / 1e6, 0) +
+              fmt_money(apps::web_search_profit_usd_per_year(200.0) / 1e6, 0) +
                   "M",
               "$87M"});
   detail.row({"search profit/yr at +400 ms",
-              "$" + fmt(apps::web_search_profit_usd_per_year(400.0) / 1e6, 0) +
+              fmt_money(apps::web_search_profit_usd_per_year(400.0) / 1e6, 0) +
                   "M",
               "$177M"});
   detail.row({"gaming GB per player-month",

@@ -9,7 +9,6 @@
 // summary: per-pair availability percentiles and the fraction of pairs
 // meeting two/three nines over the run.
 
-#include <algorithm>
 #include <string>
 
 #include "bench_common.hpp"
@@ -55,20 +54,8 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   // One rain field over the design's bounding box drives the whole
   // timeline (same coupling as control_availability, but consumed as
   // per-epoch churn instead of independent draws).
-  terrain::BoundingBox box;
-  box.lat_min = 90.0;
-  box.lat_max = -90.0;
-  box.lon_min = 180.0;
-  box.lon_max = -180.0;
-  for (const auto& site : instance.problem.sites) {
-    box.lat_min = std::min(box.lat_min, site.lat_deg - 2.0);
-    box.lat_max = std::max(box.lat_max, site.lat_deg + 2.0);
-    box.lon_min = std::min(box.lon_min, site.lon_deg - 2.0);
-    box.lon_max = std::max(box.lon_max, site.lon_deg + 2.0);
-  }
-  weather::RainParams rain_params;
-  rain_params.seed = splitmix64(ctx.base_seed + 7);
-  const weather::RainField rain(box, rain_params);
+  const weather::RainField rain =
+      bench::design_rain(ctx, instance.problem.sites);
 
   net::timeline::TimelineOptions options;
   options.epochs = days * 24;

@@ -26,29 +26,36 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                " storm cells");
 
   // Sample a week of July (convective season) at 3-hour steps and report
-  // link outages as they happen.
-  weather::OutageModel outage;
+  // link outages as they happen. Each built link's engineered tower path
+  // is found and turned into hops once, before the week starts.
+  struct BuiltLink {
+    const design::SiteLink* link;
+    weather::HopList hops;
+  };
+  std::vector<BuiltLink> built;
+  for (const std::size_t cand : topo.links) {
+    const auto& c = problem.input.candidates()[cand];
+    for (const auto& link : problem.links) {
+      if (link.feasible && link.site_a == c.site_a &&
+          link.site_b == c.site_b) {
+        built.push_back(
+            {&link, weather::tower_hops(link, scenario.tower_graph.towers)});
+      }
+    }
+  }
   auto& log = results.add_table("weather_resilience_outages",
                                 "July outage log (3-hour sampling)",
                                 {"day", "link", "state"});
   int events = 0;
   for (double t = 190.0 * weather::kDayS;
        t < 197.0 * weather::kDayS && events < 12; t += 3.0 * 3600.0) {
-    for (const std::size_t cand : topo.links) {
-      const auto& c = problem.input.candidates()[cand];
-      // Find the engineered link for this candidate.
-      for (const auto& link : problem.links) {
-        if (!link.feasible || link.site_a != c.site_a ||
-            link.site_b != c.site_b) {
-          continue;
-        }
-        if (outage.link_down(link, scenario.tower_graph.towers, rain, t)) {
-          log.row({engine::Value::real(t / weather::kDayS, 1),
-                   problem.names[link.site_a] + " <-> " +
-                       problem.names[link.site_b],
-                   "DOWN"});
-          ++events;
-        }
+    for (const BuiltLink& b : built) {
+      if (weather::link_capacity_factor(b.hops, rain, t) == 0.0) {
+        log.row({engine::Value::real(t / weather::kDayS, 1),
+                 problem.names[b.link->site_a] + " <-> " +
+                     problem.names[b.link->site_b],
+                 "DOWN"});
+        ++events;
       }
     }
   }

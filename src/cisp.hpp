@@ -14,7 +14,8 @@
 //   net/      traffic backends behind the TrafficModel seam: packet-level
 //             discrete-event simulator (ns-3 substitute) + fluid flow-level
 //             max-min allocation (net/flow/) for millions-of-users scale
-//   weather/  storm process + outage model + year-long study
+//   weather/  storm process, the one rain -> link-capacity rule (shared
+//             by the Fig. 7 study and the control plane) + year-long study
 //   apps/     gaming, web-browsing and economic models
 
 #include "apps/augmentation.hpp"  // IWYU pragma: export

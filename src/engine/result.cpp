@@ -241,10 +241,13 @@ std::string cell_repr(const Value& value) {
   switch (value.kind()) {
     case Value::Kind::Null:
       return "n:";
-    case Value::Kind::Real:
-      return std::string(value.is_money() ? "m" : "r") +
-             std::to_string(value.precision()) + ":" +
-             real_repr(value.as_real());
+    case Value::Kind::Real: {
+      std::string repr(value.is_money() ? "m" : "r");
+      repr += std::to_string(value.precision());
+      repr += ':';
+      repr += real_repr(value.as_real());
+      return repr;
+    }
     case Value::Kind::Int:
       return "i:" + std::to_string(value.as_int());
     case Value::Kind::Text:

@@ -774,7 +774,10 @@ std::uint64_t cache_key(const std::string& name, const Params& applied,
                           std::to_string(seed) + "|fast=" +
                           (fast ? "1" : "0");
   for (const auto& [key, value] : applied.entries()) {
-    canonical += "|" + escaped(key) + "=" + escaped(value);
+    canonical += '|';
+    canonical += escaped(key);
+    canonical += '=';
+    canonical += escaped(value);
   }
   // FNV-1a 64-bit.
   std::uint64_t hash = 1469598103934665603ULL;

@@ -1,73 +1,31 @@
 #include "net/control/weather_coupling.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "geo/geodesic.hpp"
-#include "rf/rain.hpp"
 #include "util/error.hpp"
 
 namespace cisp::net::control {
 
-std::vector<LinkGeometry> link_geometry(const LinkPlan& plan,
-                                        const std::vector<geo::LatLon>& sites) {
+std::vector<weather::HopList> link_geometry(
+    const LinkPlan& plan, const std::vector<geo::LatLon>& sites) {
   CISP_REQUIRE(sites.size() >= plan.node_count,
                "site positions do not cover the plan's nodes");
-  std::vector<LinkGeometry> geometry;
-  geometry.reserve(plan.links.size());
-  for (const PlannedLink& link : plan.links) {
-    LinkGeometry g;
-    g.a = sites[link.a];
-    g.b = sites[link.b];
-    g.path_km = geo::distance_km(g.a, g.b);
-    geometry.push_back(g);
+  std::vector<weather::HopList> geometry(plan.links.size());
+  for (std::size_t i = 0; i < plan.links.size(); ++i) {
+    const PlannedLink& link = plan.links[i];
+    if (!link.is_mw) continue;  // fiber is the always-on backstop
+    geometry[i] = weather::great_circle_hops(sites[link.a], sites[link.b]);
   }
   return geometry;
 }
 
-double link_capacity_factor(const LinkGeometry& geometry,
-                            const weather::RainField& rain, double t_s,
-                            const WeatherCouplingParams& params) {
-  CISP_REQUIRE(params.hop_km > 0.0, "hop_km must be positive");
-  CISP_REQUIRE(params.adaptive_headroom_db > 0.0,
-               "adaptive headroom must be positive");
-  const std::size_t hops = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(geometry.path_km / params.hop_km)));
-  const double hop_len_km = geometry.path_km / static_cast<double>(hops);
-  const double margin_db = rf::fade_margin_db(hop_len_km, params.budget);
-
-  double factor = 1.0;
-  for (std::size_t h = 0; h < hops; ++h) {
-    // Rain sampled at the hop midpoint: cells are larger than a hop, and
-    // the P.530 path-reduction factor already accounts for partial cover.
-    const double f =
-        (static_cast<double>(h) + 0.5) / static_cast<double>(hops);
-    const geo::LatLon mid = geo::interpolate(geometry.a, geometry.b, f);
-    const double rain_mm_h = rain.rain_mm_h(mid, t_s);
-    const double attenuation_db = rf::hop_rain_attenuation_db(
-        hop_len_km, rain_mm_h, params.budget.frequency_ghz);
-    double hop_factor = 1.0;
-    if (attenuation_db >= margin_db) {
-      hop_factor = 0.0;
-    } else if (attenuation_db > margin_db - params.adaptive_headroom_db) {
-      hop_factor = (margin_db - attenuation_db) / params.adaptive_headroom_db;
-    }
-    factor = std::min(factor, hop_factor);
-    if (factor == 0.0) break;  // a series link is only as alive as its hops
-  }
-  return factor;
-}
-
 std::vector<double> link_capacity_factors(
-    const LinkPlan& plan, const std::vector<LinkGeometry>& geometry,
-    const weather::RainField& rain, double t_s,
-    const WeatherCouplingParams& params) {
+    const LinkPlan& plan, const std::vector<weather::HopList>& geometry,
+    const weather::RainField& rain, double t_s) {
   CISP_REQUIRE(geometry.size() == plan.links.size(),
                "geometry / plan size mismatch");
-  std::vector<double> factors(plan.links.size(), 1.0);
-  for (std::size_t i = 0; i < plan.links.size(); ++i) {
-    if (!plan.links[i].is_mw) continue;  // fiber is the always-on backstop
-    factors[i] = link_capacity_factor(geometry[i], rain, t_s, params);
+  std::vector<double> factors;
+  factors.reserve(geometry.size());
+  for (const weather::HopList& hops : geometry) {
+    factors.push_back(weather::link_capacity_factor(hops, rain, t_s));
   }
   return factors;
 }
@@ -89,39 +47,6 @@ std::vector<LinkDelta> deltas_from_factors(
     }
   }
   return deltas;
-}
-
-std::vector<LinkDelta> weather_deltas(const LinkPlan& plan,
-                                      const std::vector<LinkGeometry>& geometry,
-                                      const weather::RainField& rain,
-                                      double t_s,
-                                      const std::vector<LinkState>& previous,
-                                      const WeatherCouplingParams& params) {
-  return deltas_from_factors(
-      plan, link_capacity_factors(plan, geometry, rain, t_s, params),
-      previous);
-}
-
-std::vector<double> weather_down_probabilities(
-    const LinkPlan& plan, const std::vector<LinkGeometry>& geometry,
-    const weather::RainField& rain, std::size_t samples,
-    const WeatherCouplingParams& params) {
-  CISP_REQUIRE(geometry.size() == plan.links.size(),
-               "geometry / plan size mismatch");
-  CISP_REQUIRE(samples >= 1, "need at least one weather sample");
-  std::vector<double> probabilities(plan.links.size(), 0.0);
-  for (std::size_t e = 0; e < samples; ++e) {
-    const double t_s = (static_cast<double>(e) + 0.5) * weather::kYearS /
-                       static_cast<double>(samples);
-    for (std::size_t i = 0; i < plan.links.size(); ++i) {
-      if (!plan.links[i].is_mw) continue;
-      if (link_capacity_factor(geometry[i], rain, t_s, params) == 0.0) {
-        probabilities[i] += 1.0;
-      }
-    }
-  }
-  for (double& p : probabilities) p /= static_cast<double>(samples);
-  return probabilities;
 }
 
 }  // namespace cisp::net::control

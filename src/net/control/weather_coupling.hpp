@@ -1,68 +1,38 @@
 #pragma once
 // Couples the synthetic rain process to the LinkPlan: per-MW-link capacity
-// factors from rain attenuation vs the fade-margin budget, emitted as
+// factors from weather::link_capacity_factor (the same rain -> attenuation
+// vs fade-margin rule the Fig. 7 study runs over tower hops), emitted as
 // LinkDeltas the RouteRepairer consumes. This is the pipeline that turns
 // fig07-class weather and the failure scenarios into ONE story — a year of
 // weather-driven topology churn with per-epoch rerouting.
 //
-// Per link and epoch: the great-circle between its endpoints is subdivided
-// into budget-scale hops; each hop samples the rain field at its midpoint,
-// converts to attenuation (ITU-R P.838/530 via rf/rain) and compares
-// against the hop's fade margin (rf/link_budget). Within
-// `adaptive_headroom_db` of the margin, adaptive modulation derates the
-// hop linearly (the weather::OutageModel idiom); at/over the margin the
-// hop — and with it the whole series link — is binary-down. The link's
-// factor is the worst hop's.
+// A planned link carries no tower path, so its hops are the great circle
+// between its endpoints split into budget-scale hops
+// (weather::great_circle_hops), built once per link.
 //
 // Fiber never degrades (the paper's always-on backstop), so deltas are
 // emitted for MW links only.
 
-#include <cstddef>
 #include <vector>
 
 #include "geo/latlon.hpp"
 #include "net/control/route_repair.hpp"
-#include "rf/link_budget.hpp"
+#include "weather/outage.hpp"
 #include "weather/rainfield.hpp"
 
 namespace cisp::net::control {
 
-/// MW geometry of one planned link (indices parallel the plan's link
-/// list; fiber entries are present but never consulted).
-struct LinkGeometry {
-  geo::LatLon a;
-  geo::LatLon b;
-  double path_km = 0.0;
-};
-
-struct WeatherCouplingParams {
-  rf::LinkBudgetParams budget;
-  /// Attenuation window (dB) below the margin where adaptive modulation
-  /// derates instead of dropping the link.
-  double adaptive_headroom_db = 12.0;
-  /// Tower-to-tower hop length used to subdivide a link when sampling
-  /// rain (the paper's relays sit every 60-100 km).
-  double hop_km = 75.0;
-};
-
-/// Great-circle geometry for every link of `plan` from per-site positions.
-[[nodiscard]] std::vector<LinkGeometry> link_geometry(
+/// Great-circle hops for every link of `plan` from per-site positions
+/// (indices parallel the plan's link list; fiber links get no hops).
+[[nodiscard]] std::vector<weather::HopList> link_geometry(
     const LinkPlan& plan, const std::vector<geo::LatLon>& sites);
 
-/// Capacity factor of one link at time `t_s`: min over its hops of the
-/// adaptive-modulation factor (1 = full margin, 0 = binary outage).
-[[nodiscard]] double link_capacity_factor(const LinkGeometry& geometry,
-                                          const weather::RainField& rain,
-                                          double t_s,
-                                          const WeatherCouplingParams& params);
-
-/// Capacity factors for every link of `plan` at time `t_s` (non-MW
-/// entries are 1.0). Epoch pipelines precompute these once per epoch and
-/// replay them across sweep cells.
+/// Capacity factors for every link of `plan` at time `t_s` (fiber entries
+/// are 1.0). Epoch pipelines precompute these once per epoch and replay
+/// them across sweep cells.
 [[nodiscard]] std::vector<double> link_capacity_factors(
-    const LinkPlan& plan, const std::vector<LinkGeometry>& geometry,
-    const weather::RainField& rain, double t_s,
-    const WeatherCouplingParams& params = {});
+    const LinkPlan& plan, const std::vector<weather::HopList>& geometry,
+    const weather::RainField& rain, double t_s);
 
 /// LinkDeltas from per-link capacity factors relative to `previous` link
 /// state: only MW links whose state changed appear, so consecutive epochs
@@ -72,22 +42,5 @@ struct WeatherCouplingParams {
 [[nodiscard]] std::vector<LinkDelta> deltas_from_factors(
     const LinkPlan& plan, const std::vector<double>& factors,
     const std::vector<LinkState>& previous);
-
-/// link_capacity_factors + deltas_from_factors in one step — the
-/// derate -> repair handoff for a single epoch.
-[[nodiscard]] std::vector<LinkDelta> weather_deltas(
-    const LinkPlan& plan, const std::vector<LinkGeometry>& geometry,
-    const weather::RainField& rain, double t_s,
-    const std::vector<LinkState>& previous,
-    const WeatherCouplingParams& params = {});
-
-/// Empirical per-MW-link binary-outage probabilities over `samples` epochs
-/// spread uniformly across the rain field's year — the bridge that turns
-/// FailureModel::RandomDown's abstract p into weather-calibrated per-link
-/// rates (FailureModel::per_link_down_probability). Fiber entries are 0.
-[[nodiscard]] std::vector<double> weather_down_probabilities(
-    const LinkPlan& plan, const std::vector<LinkGeometry>& geometry,
-    const weather::RainField& rain, std::size_t samples,
-    const WeatherCouplingParams& params = {});
 
 }  // namespace cisp::net::control

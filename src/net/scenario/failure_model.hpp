@@ -53,8 +53,9 @@ struct FailureModel {
   /// RandomDown: draw seed.
   std::uint64_t seed = 0;
   /// RandomDown: optional per-link probabilities, one entry per plan link
-  /// (weather coupling: control::weather_down_probabilities fills this
-  /// from rain-attenuation statistics). When non-empty it overrides
+  /// (control_availability fills this with each MW link's fraction of
+  /// sampled epochs at capacity factor 0, from the weather coupling's
+  /// control::link_capacity_factors). When non-empty it overrides
   /// `down_probability`; entries for non-MW links are ignored — the
   /// MW-only invariant holds regardless of what the vector says. Draw
   /// consumption is unchanged: one draw per MW link in plan order.

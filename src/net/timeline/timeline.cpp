@@ -20,12 +20,11 @@ constexpr double kHoursPerYear = 8760.0;
 }  // namespace
 
 TimelineDriver::TimelineDriver(const LinkPlan& plan,
-                               std::vector<geo::LatLon> sites,
+                               const std::vector<geo::LatLon>& sites,
                                flow::DemandMatrix base,
                                flow::DirectKmFn direct_km,
                                TimelineOptions options)
     : plan_(&plan),
-      sites_(std::move(sites)),
       base_(std::move(base)),
       current_(base_),
       direct_km_(std::move(direct_km)),
@@ -51,9 +50,9 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
   CISP_REQUIRE(options_.rain == nullptr || options_.factor_schedule == nullptr,
                "rain and factor_schedule are mutually exclusive");
   if (options_.rain != nullptr) {
-    CISP_REQUIRE(sites_.size() == plan.node_count,
+    CISP_REQUIRE(sites.size() == plan.node_count,
                  "weather coupling needs one site position per plan node");
-    geometry_ = control::link_geometry(plan, sites_);
+    geometry_ = control::link_geometry(plan, sites);
   }
   if (options_.factor_schedule != nullptr) {
     CISP_REQUIRE(!options_.factor_schedule->empty(),
@@ -97,8 +96,7 @@ std::vector<double> TimelineDriver::epoch_link_factors(
     std::size_t epoch_index) const {
   if (options_.rain != nullptr) {
     return control::link_capacity_factors(*plan_, geometry_, *options_.rain,
-                                          epoch_hour(epoch_index) * 3600.0,
-                                          options_.coupling);
+                                          epoch_hour(epoch_index) * 3600.0);
   }
   if (options_.factor_schedule != nullptr) {
     return (*options_.factor_schedule)[epoch_index %

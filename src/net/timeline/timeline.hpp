@@ -61,7 +61,6 @@ struct TimelineOptions {
   /// capacity factors sampled at t = utc_hour * 3600 s. Requires `sites`
   /// at construction. Mutually exclusive with `factor_schedule`.
   const weather::RainField* rain = nullptr;
-  control::WeatherCouplingParams coupling;
   /// Scripted per-epoch capacity-factor schedule (one factor per plan
   /// link, cycled when shorter than the timeline) — the precompute-and-
   /// replay idiom of the control_availability pipeline. Must outlive the
@@ -148,7 +147,7 @@ struct TimelineSummary {
 /// samples; `direct_km` supplies the stretch denominator.
 class TimelineDriver {
  public:
-  TimelineDriver(const LinkPlan& plan, std::vector<geo::LatLon> sites,
+  TimelineDriver(const LinkPlan& plan, const std::vector<geo::LatLon>& sites,
                  flow::DemandMatrix base, flow::DirectKmFn direct_km,
                  TimelineOptions options);
 
@@ -204,8 +203,8 @@ class TimelineDriver {
       te::SplitWarmState* warm) const;
 
   const LinkPlan* plan_;
-  std::vector<geo::LatLon> sites_;
-  std::vector<control::LinkGeometry> geometry_;
+  /// Great-circle hops per plan link (built only when `rain` is set).
+  std::vector<weather::HopList> geometry_;
   flow::DemandMatrix base_;
   flow::DemandMatrix current_;
   flow::DirectKmFn direct_km_;

@@ -1,65 +1,59 @@
 #include "weather/outage.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "geo/geodesic.hpp"
 #include "rf/rain.hpp"
 
 namespace cisp::weather {
 
-bool OutageModel::hop_down(const infra::Tower& a, const infra::Tower& b,
-                           const RainField& rain, double t_s) const {
-  const double hop_km = geo::distance_km(a.pos, b.pos);
-  if (hop_km <= 0.0) return false;
-  const geo::LatLon mid = geo::interpolate(a.pos, b.pos, 0.5);
-  const double rate = std::max({rain.rain_mm_h(a.pos, t_s),
-                                rain.rain_mm_h(mid, t_s),
-                                rain.rain_mm_h(b.pos, t_s)});
-  if (rate <= 0.0) return false;
-  return rf::hop_fails_in_rain(hop_km, rate, budget);
-}
-
-bool OutageModel::link_down(const design::SiteLink& link,
-                            const std::vector<infra::Tower>& towers,
-                            const RainField& rain, double t_s) const {
+HopList tower_hops(const design::SiteLink& link,
+                   const std::vector<infra::Tower>& towers) {
+  HopList hops;
   for (std::size_t h = 0; h + 1 < link.tower_path.size(); ++h) {
-    if (hop_down(towers[link.tower_path[h]], towers[link.tower_path[h + 1]],
-                 rain, t_s)) {
-      return true;
-    }
+    const geo::LatLon& a = towers[link.tower_path[h]].pos;
+    const geo::LatLon& b = towers[link.tower_path[h + 1]].pos;
+    const double km = geo::distance_km(a, b);
+    if (km <= 0.0) continue;
+    hops.push_back({km, {a, geo::interpolate(a, b, 0.5), b}});
   }
-  return false;
+  return hops;
 }
 
-double OutageModel::hop_capacity_factor(const infra::Tower& a,
-                                        const infra::Tower& b,
-                                        const RainField& rain,
-                                        double t_s) const {
-  const double hop_km = geo::distance_km(a.pos, b.pos);
-  if (hop_km <= 0.0) return 1.0;
-  const geo::LatLon mid = geo::interpolate(a.pos, b.pos, 0.5);
-  const double rate = std::max({rain.rain_mm_h(a.pos, t_s),
-                                rain.rain_mm_h(mid, t_s),
-                                rain.rain_mm_h(b.pos, t_s)});
-  if (rate <= 0.0) return 1.0;
-  const double margin = rf::fade_margin_db(hop_km, budget);
-  const double attenuation =
-      rf::hop_rain_attenuation_db(hop_km, rate, budget.frequency_ghz);
-  const double spare = margin - attenuation;
-  if (spare <= 0.0) return 0.0;
-  if (adaptive_headroom_db <= 0.0 || spare >= adaptive_headroom_db) return 1.0;
-  return spare / adaptive_headroom_db;
+HopList great_circle_hops(const geo::LatLon& a, const geo::LatLon& b) {
+  const double path_km = geo::distance_km(a, b);
+  if (path_km <= 0.0) return {};
+  const std::size_t count = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(path_km / kGreatCircleHopKm)));
+  const double km = path_km / static_cast<double>(count);
+  HopList hops;
+  hops.reserve(count);
+  for (std::size_t h = 0; h < count; ++h) {
+    const double f =
+        (static_cast<double>(h) + 0.5) / static_cast<double>(count);
+    hops.push_back({km, {geo::interpolate(a, b, f)}});
+  }
+  return hops;
 }
 
-double OutageModel::link_capacity_factor(
-    const design::SiteLink& link, const std::vector<infra::Tower>& towers,
-    const RainField& rain, double t_s) const {
+double link_capacity_factor(const HopList& hops, const RainField& rain,
+                            double t_s) {
   double factor = 1.0;
-  for (std::size_t h = 0; h + 1 < link.tower_path.size(); ++h) {
-    factor = std::min(
-        factor, hop_capacity_factor(towers[link.tower_path[h]],
-                                    towers[link.tower_path[h + 1]], rain, t_s));
-    if (factor <= 0.0) return 0.0;
+  for (const Hop& hop : hops) {
+    double rain_mm_h = 0.0;
+    for (const geo::LatLon& p : hop.rain_points) {
+      rain_mm_h = std::max(rain_mm_h, rain.rain_mm_h(p, t_s));
+    }
+    if (rain_mm_h <= 0.0) continue;  // a dry hop keeps full capacity
+    const double margin_db = rf::fade_margin_db(hop.km, kLinkBudget);
+    const double attenuation_db = rf::hop_rain_attenuation_db(
+        hop.km, rain_mm_h, kLinkBudget.frequency_ghz);
+    if (attenuation_db >= margin_db) return 0.0;
+    if (attenuation_db > margin_db - kAdaptiveHeadroomDb) {
+      factor =
+          std::min(factor, (margin_db - attenuation_db) / kAdaptiveHeadroomDb);
+    }
   }
   return factor;
 }

@@ -35,14 +35,16 @@ StudyResult run_weather_study(const design::SiteProblem& problem,
     by_pair[(static_cast<std::uint64_t>(std::min(l.site_a, l.site_b)) << 32) |
             std::max(l.site_a, l.site_b)] = &l;
   }
-  std::vector<const design::SiteLink*> built;
+  // Each built link's hops, built once for the whole year.
+  std::vector<HopList> hops;
+  hops.reserve(topology.links.size());
   for (const std::size_t cand : topology.links) {
     const auto& c = input.candidates()[cand];
     const std::uint64_t key =
         (static_cast<std::uint64_t>(std::min(c.site_a, c.site_b)) << 32) |
         std::max(c.site_a, c.site_b);
     CISP_REQUIRE(by_pair.count(key) > 0, "built link without tower path");
-    built.push_back(by_pair[key]);
+    hops.push_back(tower_hops(*by_pair[key], towers));
   }
 
   // The 365 days are independent given their seeds, so they run as a
@@ -65,22 +67,17 @@ StudyResult run_weather_study(const design::SiteProblem& problem,
     DayOutcome outcome;
     design::StretchEvaluator evaluator(input);
     std::size_t down = 0;
-    for (std::size_t l = 0; l < built.size(); ++l) {
-      const bool is_down =
-          params.adaptive_bandwidth
-              ? params.outage.link_capacity_factor(*built[l], towers, rain,
-                                                   t) <= 0.0
-              : params.outage.link_down(*built[l], towers, rain, t);
-      if (is_down) {
+    for (std::size_t l = 0; l < hops.size(); ++l) {
+      if (link_capacity_factor(hops[l], rain, t) == 0.0) {
         ++down;
       } else {
         evaluator.add_link(topology.links[l]);
       }
     }
     outcome.down_fraction =
-        built.empty() ? 0.0
-                      : static_cast<double>(down) /
-                            static_cast<double>(built.size());
+        hops.empty() ? 0.0
+                     : static_cast<double>(down) /
+                           static_cast<double>(hops.size());
     outcome.any_outage = down > 0;
     auto& row = pair_rows.slot(point.task_index());
     row.reserve(num_pairs);

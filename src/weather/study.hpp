@@ -17,12 +17,6 @@ struct StudyParams {
   /// threads). Results are bit-identical for every value: each day draws
   /// from its own splitmix-derived seed and days merge in day order.
   std::size_t threads = 0;
-  OutageModel outage;
-  /// §6.1 extension: with adaptive modulation, a link whose capacity
-  /// merely degrades (factor > 0) keeps carrying latency-sensitive traffic
-  /// instead of failing outright. The paper notes this "can only improve
-  /// these numbers"; setting this true quantifies by how much.
-  bool adaptive_bandwidth = false;
 };
 
 struct StudyResult {

@@ -54,7 +54,7 @@ TEST(Gaming, FatClientIsPureRttCut) {
 }
 
 TEST(Gaming, RejectsNegativeRtt) {
-  EXPECT_THROW(conventional_frame_time(-1.0), cisp::Error);
+  EXPECT_THROW((void)conventional_frame_time(-1.0), cisp::Error);
 }
 
 TEST(Web, CorpusShapeAndDeterminism) {
@@ -179,8 +179,8 @@ TEST(Econ, ValueExceedsCost) {
 }
 
 TEST(Econ, RejectsNegativeSpeedup) {
-  EXPECT_THROW(web_search_profit_usd_per_year(-5.0), cisp::Error);
-  EXPECT_THROW(ecommerce_value_per_gb(-5.0), cisp::Error);
+  EXPECT_THROW((void)web_search_profit_usd_per_year(-5.0), cisp::Error);
+  EXPECT_THROW((void)ecommerce_value_per_gb(-5.0), cisp::Error);
 }
 
 }  // namespace

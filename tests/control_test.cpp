@@ -14,6 +14,7 @@
 #include <cmath>
 #include <vector>
 
+#include "geo/geodesic.hpp"
 #include "geo/latlon.hpp"
 #include "net/builder.hpp"
 #include "net/control/route_repair.hpp"
@@ -434,28 +435,26 @@ TEST(WeatherCoupling, DeltasAreMwOnlyAndChangeDriven) {
 }
 
 TEST(WeatherCoupling, LongerPathsFailAtLeastAsOften) {
-  // Same endpoints (same rain samples), different claimed path lengths,
-  // hop_km large enough that both stay single-hop: the longer path sees
-  // more attenuation against a smaller margin, so its factor can only be
-  // lower and its outage probability higher.
-  control::LinkGeometry short_link{{39.0, -98.0}, {39.0, -97.0}, 10.0};
-  control::LinkGeometry long_link{{39.0, -98.0}, {39.0, -97.0}, 100.0};
-  control::WeatherCouplingParams params;
-  params.hop_km = 150.0;
+  // Same rain sample (one hop sampled at the same midpoint), different hop
+  // lengths: the longer hop sees more attenuation against a smaller
+  // margin, so its factor can only be lower and its outage rate higher.
+  const geo::LatLon mid = geo::interpolate({39.0, -98.0}, {39.0, -97.0}, 0.5);
+  const weather::HopList short_link{{10.0, {mid}}};
+  const weather::HopList long_link{{100.0, {mid}}};
   const auto rain = test_rain();
+  int short_down = 0;
+  int long_down = 0;
   for (int e = 0; e < 200; ++e) {
     const double t_s = (e + 0.5) * weather::kYearS / 200.0;
-    EXPECT_LE(control::link_capacity_factor(long_link, rain, t_s, params),
-              control::link_capacity_factor(short_link, rain, t_s, params));
+    const double short_factor =
+        weather::link_capacity_factor(short_link, rain, t_s);
+    const double long_factor =
+        weather::link_capacity_factor(long_link, rain, t_s);
+    EXPECT_LE(long_factor, short_factor);
+    short_down += short_factor == 0.0 ? 1 : 0;
+    long_down += long_factor == 0.0 ? 1 : 0;
   }
-
-  LinkPlan two;
-  two.node_count = 2;
-  add_link(two, 0, 1, 10.0, 10.0, true);
-  add_link(two, 0, 1, 10.0, 100.0, true);
-  const auto p = control::weather_down_probabilities(
-      two, {short_link, long_link}, rain, 200, params);
-  EXPECT_GE(p[1], p[0]);
+  EXPECT_GE(long_down, short_down);
 }
 
 // ---------------------------------------------------------------------------

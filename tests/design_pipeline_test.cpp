@@ -207,7 +207,9 @@ TEST(Pipeline, TowerDisjointPathsDegradeGracefully) {
   const double geodesic = geo::distance_km(chicago, denver);
   for (std::size_t i = 0; i < lengths.size(); ++i) {
     EXPECT_GE(lengths[i], geodesic - 1e-6);
-    if (i > 0) EXPECT_GE(lengths[i], lengths[i - 1] - 1e-6);
+    if (i > 0) {
+      EXPECT_GE(lengths[i], lengths[i - 1] - 1e-6);
+    }
   }
   EXPECT_LT(lengths.front() / geodesic, 1.25);
 }

@@ -98,7 +98,7 @@ TEST(Grid, RejectsBadAxes) {
   EXPECT_THROW(grid.axis("b", {}), Error);      // empty values
   EXPECT_THROW(grid.replicates(0), Error);
   EXPECT_THROW(grid.point(grid.size()), Error); // out of range
-  EXPECT_THROW(grid.point(0).value("nope"), Error);
+  EXPECT_THROW((void)grid.point(0).value("nope"), Error);
 }
 
 TEST(Grid, PointSharesAxesOwnershipSoItOutlivesTheGrid) {
@@ -119,7 +119,7 @@ TEST(Grid, MutatingGridAfterPointIsCopyOnWrite) {
   const Point p = grid.point(0);
   grid.axis("y", {5.0, 6.0});  // must not change what p observes
   EXPECT_EQ(p.value("x"), 1.0);
-  EXPECT_THROW(p.value("y"), Error);
+  EXPECT_THROW((void)p.value("y"), Error);
   EXPECT_EQ(grid.size(), 2u);
 }
 
@@ -356,9 +356,11 @@ TEST(Collector, SlotCollectorFoldsInIndexOrder) {
 TEST(Experiments, RegistryRunsByNameAndLists) {
   ExperimentRegistry registry;
   int runs = 0;
-  registry.add({.name = "unit_exp_b", .description = "second"},
+  registry.add({.name = "unit_exp_b", .description = "second", .tags = {},
+                .params = {}},
                [&](const ExperimentContext&) { return ResultSet{}; });
-  registry.add({.name = "unit_exp_a", .description = "first"},
+  registry.add({.name = "unit_exp_a", .description = "first", .tags = {},
+                .params = {}},
                [&](const ExperimentContext& ctx) {
                  EXPECT_EQ(ctx.threads, 2u);
                  EXPECT_TRUE(ctx.fast);
@@ -389,11 +391,17 @@ TEST(Experiments, RegistryRunsByNameAndLists) {
 
 TEST(Experiments, DuplicateRegistrationSurfacesAtLookupNotAdd) {
   ExperimentRegistry registry;
-  registry.add({.name = "dup_exp", .description = "first registration"},
+  registry.add({.name = "dup_exp",
+                .description = "first registration",
+                .tags = {},
+                .params = {}},
                [](const ExperimentContext&) { return ResultSet{}; });
   // Registering the same name again must NOT throw: during static init a
   // throw would be a silent std::terminate.
-  registry.add({.name = "dup_exp", .description = "second registration"},
+  registry.add({.name = "dup_exp",
+                .description = "second registration",
+                .tags = {},
+                .params = {}},
                [](const ExperimentContext&) { return ResultSet{}; });
   try {
     (void)registry.list();

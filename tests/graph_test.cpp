@@ -147,7 +147,9 @@ TEST(Yen, PathsAreLooplessAndSorted) {
     EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
                 sorted.end())
         << "loop in path " << i;
-    if (i > 0) EXPECT_GE(paths[i].length, paths[i - 1].length - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(paths[i].length, paths[i - 1].length - 1e-9);
+    }
   }
   // All returned paths distinct.
   for (std::size_t i = 0; i < paths.size(); ++i) {

@@ -216,7 +216,9 @@ TEST(Fiber, MetricProperties) {
   for (std::size_t i = 0; i < 20; ++i) {
     for (std::size_t j = 0; j < 20; ++j) {
       EXPECT_DOUBLE_EQ(fiber.distance_km(i, j), fiber.distance_km(j, i));
-      if (i == j) EXPECT_DOUBLE_EQ(fiber.distance_km(i, j), 0.0);
+      if (i == j) {
+        EXPECT_DOUBLE_EQ(fiber.distance_km(i, j), 0.0);
+      }
     }
   }
   // Triangle inequality (shortest paths in a graph are a metric).

@@ -102,7 +102,7 @@ TEST(Integration, MwLinksCarryTheLatencySensitiveShare) {
   EXPECT_NEAR(mw_share / total, plan_share, 0.02);
 }
 
-TEST(Integration, WeatherStudyConsistentWithOutageModel) {
+TEST(Integration, WeatherStudyBestDayMatchesFairWeather) {
   const auto& d = designed();
   const weather::RainField rain(scenario().region.box);
   weather::StudyParams params;

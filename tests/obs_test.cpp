@@ -111,7 +111,7 @@ TEST_F(ObsTest, SnapshotIsSortedAndSkipsZeroRows) {
   set_metrics_enabled(true);
   counter("obs_test.snap_b").add(2);
   counter("obs_test.snap_a").add(1);
-  counter("obs_test.snap_zero");  // registered but never incremented
+  (void)counter("obs_test.snap_zero");  // registered, never incremented
   const auto rows = metrics_snapshot();
   std::vector<std::string> names;
   for (const auto& row : rows) {

@@ -120,7 +120,7 @@ TEST(Clearance, RequiresTwoSamples) {
   p.dist_km = {0.0};
   p.ground_m = {10.0};
   p.clutter_m = {0.0};
-  EXPECT_THROW(evaluate_clearance(p, 10.0, 10.0), cisp::Error);
+  EXPECT_THROW((void)evaluate_clearance(p, 10.0, 10.0), cisp::Error);
 }
 
 TEST(Rain, CoefficientsMatchItuTableAnchors) {
@@ -158,8 +158,9 @@ TEST(Rain, PathReductionShrinksLongHops) {
 }
 
 TEST(Rain, RejectsOutOfBandFrequency) {
-  EXPECT_THROW(rain_coefficients(1.0), cisp::Error);
-  EXPECT_THROW(specific_attenuation_db_per_km(10.0, 150.0), cisp::Error);
+  EXPECT_THROW((void)rain_coefficients(1.0), cisp::Error);
+  EXPECT_THROW((void)specific_attenuation_db_per_km(10.0, 150.0),
+               cisp::Error);
 }
 
 TEST(Rain, MillimeterWaveBandsAttenuateMuchHarder) {

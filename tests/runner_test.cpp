@@ -66,7 +66,8 @@ const RegisterExperiment kCacheProbe{
 const RegisterExperiment kEmpty{
     {.name = "unit_empty",
      .description = "returns no rows (test fixture)",
-     .tags = {"test"}},
+     .tags = {"test"},
+     .params = {}},
     [](const ExperimentContext&) { return ResultSet{}; }};
 
 /// A unique scratch directory per test, removed on destruction.
@@ -172,7 +173,7 @@ TEST(Catalog, ListsAllMigratedExperiments) {
         "fig05_perturbation", "fig06_pacing", "fig07_weather", "fig08_europe",
         "fig09_traffic_models", "fig10_tower_constraints", "fig11_traffic_mix",
         "fig12_gaming", "fig13_web", "sec8_cost_benefit", "ablation_routing",
-        "ablation_technology", "ablation_weather_adaptive", "quickstart",
+        "ablation_technology", "quickstart",
         "us_backbone", "europe_backbone", "budget_evolution",
         "weather_resilience", "interactive_apps"}) {
     EXPECT_TRUE(ExperimentRegistry::instance().contains(name))
@@ -187,7 +188,7 @@ TEST(Catalog, GlobSelectsSubsets) {
   EXPECT_EQ(fig04[0], "fig04a_budget_sweep");
   EXPECT_EQ(fig04[1], "fig04b_disjoint_paths");
   EXPECT_EQ(fig04[2], "fig04c_cost_throughput");
-  EXPECT_EQ(registry.match("ablation_*").size(), 3u);
+  EXPECT_EQ(registry.match("ablation_*").size(), 2u);
   EXPECT_TRUE(registry.match("no_such_experiment_*").empty());
 }
 

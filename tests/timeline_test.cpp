@@ -26,6 +26,7 @@
 #include "net/traffic_model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "weather/rainfield.hpp"
 
 namespace cisp::net {
 namespace {
@@ -180,6 +181,71 @@ TEST(Timeline, WarmStepIsByteIdenticalToIndependentCells) {
     // path: identical routes -> the incidence structure gets reused.
     EXPECT_GT(driver.summary().warm_reuses, 0u)
         << "threads " << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A rain source == the factor schedule it samples
+// ---------------------------------------------------------------------------
+
+TEST(Timeline, RainSourceMatchesItsFactorSchedule) {
+  const Fixture f = make_fixture(71);
+  // The planar fixture laid over a 6 x 9 degree box of summer rain.
+  terrain::BoundingBox box;
+  box.lat_min = 36.0;
+  box.lat_max = 42.0;
+  box.lon_min = -101.0;
+  box.lon_max = -92.0;
+  const weather::RainField rain(box, {.seed = 404});
+  std::vector<geo::LatLon> sites;
+  for (const auto& p : f.xy) {
+    sites.push_back({box.lat_min + p[1] * 6.0 / 2000.0,
+                     box.lon_min + p[0] * 9.0 / 2000.0});
+  }
+
+  timeline::TimelineOptions options;
+  options.epochs = 24;
+  options.start_utc_hour = 200.0 * 24.0;
+  options.diurnal = make_diurnal(f);
+  options.policy.max_stretch = 2.2;
+
+  const auto geometry = control::link_geometry(f.plan, sites);
+  std::vector<std::vector<double>> schedule;
+  bool rain_degrades = false;
+  for (std::size_t e = 0; e < options.epochs; ++e) {
+    const double hour = options.start_utc_hour +
+                        static_cast<double>(e) * options.hours_per_epoch;
+    schedule.push_back(
+        control::link_capacity_factors(f.plan, geometry, rain, hour * 3600.0));
+    for (const double factor : schedule.back()) {
+      rain_degrades = rain_degrades || factor < 1.0;
+    }
+  }
+  // Otherwise both drivers would trivially agree on a calm week.
+  ASSERT_TRUE(rain_degrades);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    timeline::TimelineOptions rained = options;
+    rained.rain = &rain;
+    rained.threads = threads;
+    timeline::TimelineOptions scheduled = options;
+    scheduled.factor_schedule = &schedule;
+    scheduled.threads = threads;
+    timeline::TimelineDriver from_rain(f.plan, sites, f.base, f.direct_km(),
+                                       rained);
+    timeline::TimelineDriver from_schedule(f.plan, {}, f.base, f.direct_km(),
+                                           scheduled);
+    for (std::size_t e = 0; e < options.epochs; ++e) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " epoch " +
+                   std::to_string(e));
+      const timeline::EpochStats a = from_rain.step();
+      const timeline::EpochStats b = from_schedule.step();
+      EXPECT_EQ(a.epoch, b.epoch);
+      expect_epochs_equal(a, b);
+      EXPECT_EQ(a.link_deltas, b.link_deltas);
+      EXPECT_EQ(a.touched_pairs, b.touched_pairs);
+      EXPECT_EQ(a.changed_pairs, b.changed_pairs);
+    }
   }
 }
 

@@ -144,15 +144,15 @@ TEST(Samples, PercentileAfterIncrementalAdds) {
 
 TEST(Samples, EmptyThrows) {
   Samples s;
-  EXPECT_THROW(s.mean(), Error);
-  EXPECT_THROW(s.percentile(50), Error);
-  EXPECT_THROW(s.min(), Error);
+  EXPECT_THROW((void)s.mean(), Error);
+  EXPECT_THROW((void)s.percentile(50), Error);
+  EXPECT_THROW((void)s.min(), Error);
 }
 
 TEST(Samples, PercentileRangeChecked) {
   Samples s({1.0});
-  EXPECT_THROW(s.percentile(-1), Error);
-  EXPECT_THROW(s.percentile(101), Error);
+  EXPECT_THROW((void)s.percentile(-1), Error);
+  EXPECT_THROW((void)s.percentile(101), Error);
 }
 
 TEST(Cdf, MonotoneAndCovering) {

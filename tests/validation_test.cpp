@@ -56,10 +56,10 @@ TEST(ParallelSeries, OutermostOffsetGrowsWithK) {
 }
 
 TEST(ParallelSeries, InputValidation) {
-  EXPECT_THROW(min_series_separation_km(0.0), cisp::Error);
-  EXPECT_THROW(lateral_divergence_stretch(-1.0, 0.0), cisp::Error);
-  EXPECT_THROW(series_for_demand(1.0, 0.0), cisp::Error);
-  EXPECT_THROW(bandwidth_of_series(0, 1.0), cisp::Error);
+  EXPECT_THROW((void)min_series_separation_km(0.0), cisp::Error);
+  EXPECT_THROW((void)lateral_divergence_stretch(-1.0, 0.0), cisp::Error);
+  EXPECT_THROW((void)series_for_demand(1.0, 0.0), cisp::Error);
+  EXPECT_THROW((void)bandwidth_of_series(0, 1.0), cisp::Error);
 }
 
 class HftRelayValidation : public ::testing::Test {

@@ -1,7 +1,7 @@
 // Unit and integration tests for the weather subsystem: storm-cell
 // kinematics, rain field statistics (wet fractions, seasonal and
-// convective structure), the binary outage model, and a reduced Fig. 7
-// study on a fast scenario.
+// convective structure), the rain -> link-capacity rule over tower and
+// great-circle hops, and a reduced Fig. 7 study on a fast scenario.
 
 #include <gtest/gtest.h>
 
@@ -103,35 +103,34 @@ TEST(RainField, RejectsTimeOutsideYear) {
   EXPECT_THROW((void)field.rain_mm_h({40, -100}, kYearS + 1.0), cisp::Error);
 }
 
+/// The tower path a -> b as a one-hop link.
+HopList one_hop(const infra::Tower& a, const infra::Tower& b) {
+  design::SiteLink link;
+  link.tower_path = {0, 1};
+  return tower_hops(link, {a, b});
+}
+
 TEST(Outage, DryHopNeverFails) {
   const RainField field(kUsBox, {.seed = 1, .cells_per_day_winter = 0.0,
                                  .cells_per_day_summer = 0.0});
-  OutageModel model;
-  infra::Tower a{{40.0, -100.0}, 100.0};
-  infra::Tower b{{40.0, -99.0}, 100.0};
-  EXPECT_FALSE(model.hop_down(a, b, field, 1000.0));
+  const HopList hops =
+      one_hop({{40.0, -100.0}, 100.0}, {{40.0, -99.0}, 100.0});
+  ASSERT_EQ(hops.size(), 1u);
+  // Both towers and the midpoint are sampled.
+  EXPECT_EQ(hops[0].rain_points.size(), 3u);
+  EXPECT_EQ(link_capacity_factor(hops, field, 1000.0), 1.0);
 }
 
 TEST(Outage, ViolentCellOverHopKnocksItOut) {
-  // One stationary convective monster directly on the hop.
-  RainParams params;
-  params.seed = 3;
-  params.cells_per_day_winter = 0.0;
-  params.cells_per_day_summer = 0.0;
-  const RainField empty(kUsBox, params);
-  OutageModel model;
-  // Craft the cell by hand and test through the rf layer directly: the
-  // outage threshold for an 85-km hop sits near 40-60 mm/h.
-  const double threshold = rf::outage_rain_rate_mm_h(85.0, model.budget);
+  // The outage threshold for an 85-km hop sits near 40-60 mm/h.
+  const double threshold = rf::outage_rain_rate_mm_h(85.0, kLinkBudget);
   EXPECT_GT(threshold, 10.0);
   EXPECT_LT(threshold, 200.0);
-  EXPECT_TRUE(rf::hop_fails_in_rain(85.0, threshold * 1.1, model.budget));
-  (void)empty;
+  EXPECT_TRUE(rf::hop_fails_in_rain(85.0, threshold * 1.1, kLinkBudget));
 }
 
 TEST(Outage, LinkDownIffSomeHopDown) {
   const RainField field(kUsBox);
-  OutageModel model;
   // Find a moment & place with violent rain by scanning cells.
   bool found_down_hop = false;
   for (double t = 180.0 * kDayS; t < 230.0 * kDayS && !found_down_hop;
@@ -140,15 +139,38 @@ TEST(Outage, LinkDownIffSomeHopDown) {
       if (cell->peak_mm_h < 60.0) continue;
       const auto center = cell->center_at(t);
       if (!kUsBox.contains(center)) continue;
-      infra::Tower a{geo::destination(center, 270.0, 40.0), 100.0};
-      infra::Tower b{geo::destination(center, 90.0, 40.0), 100.0};
-      if (model.hop_down(a, b, field, t)) {
-        found_down_hop = true;
-        break;
-      }
+      const HopList wet =
+          one_hop({geo::destination(center, 270.0, 40.0), 100.0},
+                  {geo::destination(center, 90.0, 40.0), 100.0});
+      if (link_capacity_factor(wet, field, t) > 0.0) continue;
+      // A series link carrying this hop is down, whatever its other hops.
+      HopList series = great_circle_hops({45.0, -120.0}, {45.0, -118.0});
+      ASSERT_EQ(series.size(), 3u);  // ~157 km in 75-km hops
+      series.push_back(wet[0]);
+      EXPECT_EQ(link_capacity_factor(series, field, t), 0.0);
+      found_down_hop = true;
+      break;
     }
   }
   EXPECT_TRUE(found_down_hop);
+}
+
+TEST(Outage, GreatCircleSplitsIntoEqualHops) {
+  const geo::LatLon a{40.0, -100.0};
+  const geo::LatLon b{40.0, -96.0};
+  const double km = geo::distance_km(a, b);
+  const HopList hops = great_circle_hops(a, b);
+  ASSERT_EQ(hops.size(),
+            static_cast<std::size_t>(std::ceil(km / kGreatCircleHopKm)));
+  double total_km = 0.0;
+  for (const Hop& hop : hops) {
+    EXPECT_EQ(hop.km, hops[0].km);
+    EXPECT_LE(hop.km, kGreatCircleHopKm);
+    EXPECT_EQ(hop.rain_points.size(), 1u);  // the hop midpoint
+    total_km += hop.km;
+  }
+  EXPECT_NEAR(total_km, km, 1e-9);
+  EXPECT_TRUE(great_circle_hops(a, a).empty());
 }
 
 TEST(Study, ReducedYearStudyMatchesPaperShape) {
