@@ -57,8 +57,10 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
       [&](const engine::Point& point) {
         const auto topo_view =
             net::view_from_plan(net::plan_links(problem.input, plan, build));
-        const auto demands = net::demands_from_traffic(
-            traffic, cap.aggregate_gbps, build.rate_scale);
+        const auto demands =
+            net::flow::DemandMatrix::from_traffic(
+                traffic, cap.aggregate_gbps, build.rate_scale)
+                .to_demands();
         const auto result = net::compute_routes(
             topo_view.view, demands, schemes[point.index("scheme")]);
         return PropsRow{result.mean_path_latency_s,

@@ -146,20 +146,17 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
         double touched_acc = 0.0;
         Cell cell;
         for (std::size_t e = 0; e < epochs; ++e) {
-          const auto deltas = net::control::deltas_from_factors(
-              base_plan, epoch_factors[e], repairer.link_state());
-          const auto repair = repairer.apply(deltas);
-          if (!deltas.empty()) ++cell.repaired_epochs;
+          const auto repair = repairer.apply(epoch_factors[e]);
+          if (repair.changed_links > 0) ++cell.repaired_epochs;
           touched_acc += static_cast<double>(repair.touched_pairs);
           denied_acc += static_cast<double>(repair.denied_pairs);
 
           const auto routes = repairer.route_set();
-          const auto factors = repairer.capacity_factors();
           net::TrafficRunOptions run_options;
           run_options.alpha = alpha;
           run_options.plan = &base_plan;
           run_options.route_set = &routes;
-          run_options.capacity_factor = &factors;
+          run_options.capacity_factor = &epoch_factors[e];
           const auto report = traffic_model->run(demands, run_options);
 
           Samples pair_stretch;

@@ -362,9 +362,9 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
 
   // --- Control-plane repair kernels ----------------------------------------
   // Per-draw cost of a 1000-draw failure sweep, like for like: both
-  // kernels replay the SAME cyclic delta sequence, the incremental
-  // repairer touching only affected trees/pairs, the oracle pricing every
-  // source and pair from scratch at each draw's cumulative state. The
+  // kernels replay the SAME cyclic sequence of per-link factor vectors,
+  // the incremental repairer touching only affected trees/pairs, the
+  // oracle pricing every source and pair from scratch at each draw. The
   // spread between the two rows is the whole point of the subsystem.
   const std::size_t repair_nodes = bench::pick(ctx, std::size_t{120},
                                                std::size_t{60});
@@ -429,29 +429,28 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   // control_availability year saw churn in only ~half its epochs and a
   // ~10% working set when it did). Disturbed draws down or derate one MW
   // link and lift the disturbance from three disturbed draws ago, so at
-  // most three links are off-nominal at once; calm draws are empty.
-  std::vector<std::vector<net::control::LinkDelta>> draws;
+  // most three links are off-nominal at once; calm draws repeat the
+  // previous vector. Each draw is the absolute per-link factor vector
+  // (0 = down) after that draw.
+  std::vector<std::vector<double>> draws;
   {
     Rng rng(31);
+    std::vector<double> factors(repair_plan.links.size(), 1.0);
     std::vector<std::size_t> window;
     std::size_t disturbed = 0;
     for (std::size_t d = 0; d < 1000; ++d) {
-      std::vector<net::control::LinkDelta> batch;
       if (rng.chance(0.5)) {
         const std::size_t link =
             repair_mw[rng.uniform_index(repair_mw.size())];
-        if (disturbed++ % 2 == 0) {
-          batch.push_back({link, false});
-        } else {
-          batch.push_back({link, true, rng.uniform(0.3, 0.9)});
-        }
+        factors[link] =
+            disturbed++ % 2 == 0 ? 0.0 : rng.uniform(0.3, 0.9);
         window.push_back(link);
         if (window.size() > 3) {
-          batch.push_back({window.front(), true, 1.0});
+          factors[window.front()] = 1.0;
           window.erase(window.begin());
         }
       }
-      draws.push_back(std::move(batch));
+      draws.push_back(factors);
     }
   }
   net::control::RouteRepairer repairer(repair_plan, repair_demands, {},
@@ -463,16 +462,13 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     (void)touched;
     draw_index = (draw_index + 1) % draws.size();
   });
-  std::vector<net::control::LinkState> full_state(repair_plan.links.size());
   std::size_t full_index = 0;
   add("repair_full_draw", [&] {
-    for (const auto& delta : draws[full_index]) {
-      full_state[delta.link] = {delta.up, delta.capacity_factor};
-    }
+    const std::vector<double>& factors = draws[full_index];
     full_index = (full_index + 1) % draws.size();
     volatile std::size_t n =
         net::control::RouteRepairer::full_recompute(
-            repair_plan, repair_demands, {}, repair_direct, full_state)
+            repair_plan, repair_demands, {}, repair_direct, factors)
             .size();
     (void)n;
   });
@@ -480,21 +476,11 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   // --- Timeline kernels ----------------------------------------------------
   // Per-epoch cost of the streaming timeline, like for like: both kernels
   // evaluate the SAME epoch sequence (diurnal swing + the weather-shaped
-  // churn above, replayed as an absolute factor schedule) on the repair
+  // churn above, replayed as the same factor schedule) on the repair
   // fixture. The warm kernel carries routes, demand rewrites and
   // allocator structure epoch-to-epoch; the cold kernel is the
   // independent-cell rebuild every epoch paid before this subsystem
   // existed. The spread between the two rows is the timeline's speedup.
-  std::vector<std::vector<double>> timeline_schedule;
-  {
-    std::vector<double> factors(repair_plan.links.size(), 1.0);
-    for (const auto& batch : draws) {
-      for (const auto& delta : batch) {
-        factors[delta.link] = delta.up ? delta.capacity_factor : 0.0;
-      }
-      timeline_schedule.push_back(factors);
-    }
-  }
   net::flow::DemandMatrix timeline_demands = [&] {
     std::vector<net::flow::PairDemand> pairs;
     for (const auto& demand : repair_demands) {
@@ -503,7 +489,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     return net::flow::DemandMatrix::from_pairs(std::move(pairs));
   }();
   net::timeline::TimelineOptions timeline_options;
-  timeline_options.factor_schedule = &timeline_schedule;
+  timeline_options.factor_schedule = &draws;
   timeline_options.diurnal.tz_offset_hours.resize(repair_nodes);
   for (std::size_t i = 0; i < repair_nodes; ++i) {
     // Synthetic solar offsets from the fixture's x coordinate (~4 hours
@@ -521,7 +507,7 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     volatile double d = timeline_driver.evaluate_cold(cold_epoch)
                             .delivered_bps;
     (void)d;
-    cold_epoch = (cold_epoch + 1) % timeline_schedule.size();
+    cold_epoch = (cold_epoch + 1) % draws.size();
   });
 
   // --- Multipath TE kernels ------------------------------------------------
@@ -538,18 +524,10 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
   te_split_options.max_lp_pairs = 64;
   te_split_options.gather_capacity_bps = &te_nominal;
   te_split_options.warm = &te_warm;
-  std::vector<net::control::LinkState> te_state(repair_plan.links.size());
   std::size_t te_draw = 0;
   add("te_split_solve", [&] {
-    for (const auto& delta : draws[te_draw]) {
-      te_state[delta.link] = {delta.up, delta.capacity_factor};
-    }
+    net::apply_capacity_factors(te_topo.view, te_nominal, draws[te_draw]);
     te_draw = (te_draw + 1) % draws.size();
-    for (std::size_t e = 0; e < te_topo.view.capacity_bps.size(); ++e) {
-      const auto& ls = te_state[te_topo.view.edge_to_link[e] / 2];
-      te_topo.view.capacity_bps[e] =
-          te_nominal[e] * (ls.up ? ls.capacity_factor : 0.0);
-    }
     volatile double u = net::te::solve_splits(te_topo.view, repair_demands,
                                               repair_direct,
                                               te_split_options)
@@ -557,12 +535,12 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
     (void)u;
   });
   // One full happy-eyeballs draw over every pair against the repairer's
-  // cumulative link state (fiber fallbacks precomputed at construction).
+  // current factors (fiber fallbacks precomputed at construction).
   const net::control::CandidateRacer te_racer(repair_plan, repair_demands,
                                               {});
   add("te_racing_draw", [&] {
     volatile std::size_t mw =
-        te_racer.race_serial(repairer.routes(), repairer.link_state())
+        te_racer.race(repairer.routes(), repairer.capacity_factors())
             .mw_winners;
     (void)mw;
   });

@@ -121,16 +121,14 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
               [&](std::uint32_t s, std::uint32_t t) {
                 return instance.problem.input.geodesic_km(s, t);
               });
-          std::vector<net::control::LinkDelta> deltas;
-          deltas.reserve(outcome.failed_links.size());
+          std::vector<double> factors(base_plan.links.size(), 1.0);
           for (const std::size_t link : outcome.failed_links) {
-            deltas.push_back(net::control::LinkDelta{link, false, 1.0});
+            factors[link] = 0.0;
           }
-          const auto stats = repairer.apply(deltas);
+          const auto stats = repairer.apply(factors);
           cell.detoured = stats.detoured_pairs;
           cell.denied = stats.denied_pairs;
           const auto routes = repairer.route_set();
-          const auto factors = repairer.capacity_factors();
           run_options.plan = &base_plan;
           run_options.route_set = &routes;
           run_options.capacity_factor = &factors;

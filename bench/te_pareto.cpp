@@ -116,11 +116,8 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
           }
           case 1: {  // te: weighted splits on the degraded view
             net::TopologyView view = net::view_from_plan(base_plan);
-            for (std::size_t e = 0; e < view.view.capacity_bps.size();
-                 ++e) {
-              view.view.capacity_bps[e] *=
-                  factors[view.view.edge_to_link[e] / 2];
-            }
+            net::apply_capacity_factors(view.view, view.view.capacity_bps,
+                                        factors);
             net::te::SplitOptions split_options;
             split_options.candidates.k_shortest = k_paths;
             split_options.candidates.max_stretch = max_stretch;
@@ -140,16 +137,11 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
             policy.max_stretch = max_stretch;
             net::control::RouteRepairer repairer(base_plan, demand_list,
                                                  policy, direct_km);
-            std::vector<net::control::LinkDelta> deltas;
-            deltas.reserve(outcome.failed_links.size());
-            for (const std::size_t link : outcome.failed_links) {
-              deltas.push_back(net::control::LinkDelta{link, false, 1.0});
-            }
-            repairer.apply(deltas);
+            repairer.apply(factors);
             const net::control::CandidateRacer racer(base_plan, demand_list,
                                                      {});
             const net::control::RacingReport race =
-                racer.race(repairer.routes(), repairer.link_state());
+                racer.race(repairer.routes(), factors);
             cell.denied = race.failed_pairs;
             cell.recovered = race.recovered_pairs;
             const auto routes = race.route_set();

@@ -25,7 +25,6 @@
 #include "design/capacity.hpp"  // IWYU pragma: export
 #include "design/cost_model.hpp"  // IWYU pragma: export
 #include "design/exact.hpp"     // IWYU pragma: export
-#include "design/export.hpp"    // IWYU pragma: export
 #include "design/parallel_series.hpp"  // IWYU pragma: export
 #include "design/greedy.hpp"    // IWYU pragma: export
 #include "design/lp_rounding.hpp"  // IWYU pragma: export
@@ -41,7 +40,6 @@
 #include "geo/spatial_index.hpp"  // IWYU pragma: export
 #include "graph/dijkstra.hpp"   // IWYU pragma: export
 #include "graph/ksp.hpp"        // IWYU pragma: export
-#include "graph/maxflow.hpp"    // IWYU pragma: export
 #include "graph/mcf.hpp"        // IWYU pragma: export
 #include "infra/databases.hpp"  // IWYU pragma: export
 #include "infra/fiber.hpp"      // IWYU pragma: export

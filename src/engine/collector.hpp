@@ -11,9 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "util/error.hpp"
-#include "util/stats.hpp"
-
 namespace cisp::engine {
 
 /// Per-task slots of an arbitrary value type with an index-ordered fold.
@@ -42,62 +39,6 @@ class SlotCollector {
 
  private:
   std::vector<T> slots_;
-};
-
-/// Order-independent accumulation into cisp::Samples: each task adds
-/// samples to its own shard; merged() concatenates shards in task-index
-/// order, yielding the same Samples (same values, same order) no matter
-/// how the tasks were scheduled.
-class SamplesCollector {
- public:
-  explicit SamplesCollector(std::size_t num_tasks) : shards_(num_tasks) {}
-
-  void add(std::size_t task_index, double value) {
-    shards_.at(task_index).push_back(value);
-  }
-  void add_all(std::size_t task_index, const std::vector<double>& values) {
-    auto& shard = shards_.at(task_index);
-    shard.insert(shard.end(), values.begin(), values.end());
-  }
-
-  /// Concatenation of all shards in task-index order.
-  [[nodiscard]] cisp::Samples merged() const;
-
-  /// Deterministic sum: per-shard partial sums folded in task-index order.
-  [[nodiscard]] double merged_sum() const;
-
-  [[nodiscard]] std::size_t total_count() const noexcept;
-
- private:
-  std::vector<std::vector<double>> shards_;
-};
-
-/// A bank of SamplesCollectors sharing the task dimension — convenient
-/// when a sweep accumulates into many per-pair / per-series distributions
-/// (e.g. the weather study's n*n pair stretches).
-class SamplesBank {
- public:
-  SamplesBank(std::size_t num_series, std::size_t num_tasks)
-      : num_series_(num_series), num_tasks_(num_tasks),
-        shards_(num_series * num_tasks) {}
-
-  void add(std::size_t series, std::size_t task_index, double value) {
-    CISP_REQUIRE(series < num_series_ && task_index < num_tasks_,
-                 "SamplesBank index out of range");
-    shards_[series * num_tasks_ + task_index].push_back(value);
-  }
-
-  /// Samples for one series: shards concatenated in task-index order.
-  [[nodiscard]] cisp::Samples merged(std::size_t series) const;
-
-  [[nodiscard]] std::size_t series_count() const noexcept {
-    return num_series_;
-  }
-
- private:
-  std::size_t num_series_;
-  std::size_t num_tasks_;
-  std::vector<std::vector<double>> shards_;
 };
 
 }  // namespace cisp::engine

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "geo/latlon.hpp"
-#include "net/flow/demand_matrix.hpp"
 #include "util/error.hpp"
 
 namespace cisp::net {
@@ -82,6 +81,27 @@ TopologyView view_from_plan(const LinkPlan& plan) {
   return out;
 }
 
+void check_capacity_factors(const std::vector<double>& factors,
+                            std::size_t link_count) {
+  CISP_REQUIRE(factors.size() == link_count,
+               "capacity factors must cover every plan link");
+  for (const double factor : factors) {
+    CISP_REQUIRE(factor >= 0.0 && factor <= 1.0,
+                 "capacity factor must be in [0, 1]");
+  }
+}
+
+void apply_capacity_factors(SimTopologyView& view,
+                            const std::vector<double>& nominal_bps,
+                            const std::vector<double>& factors) {
+  CISP_REQUIRE(nominal_bps.size() == view.capacity_bps.size(),
+               "nominal capacities must cover every view edge");
+  check_capacity_factors(factors, view.capacity_bps.size() / 2);
+  for (std::size_t e = 0; e < view.capacity_bps.size(); ++e) {
+    view.capacity_bps[e] = nominal_bps[e] * factors[view.edge_to_link[e] / 2];
+  }
+}
+
 SimInstance build_sim(const design::DesignInput& input,
                       const design::CapacityPlan& plan,
                       const BuildOptions& options) {
@@ -101,13 +121,6 @@ SimInstance build_sim_from_plan(const LinkPlan& links) {
   instance.view = std::move(topo.view);
   instance.mw_edges = std::move(topo.mw_edges);
   return instance;
-}
-
-std::vector<TrafficDemand> demands_from_traffic(
-    const std::vector<std::vector<double>>& traffic, double aggregate_gbps,
-    double rate_scale) {
-  return flow::DemandMatrix::from_traffic(traffic, aggregate_gbps, rate_scale)
-      .to_demands();
 }
 
 std::vector<SeededDemand> seed_udp_demands(

@@ -76,6 +76,23 @@ struct TopologyView {
 
 [[nodiscard]] TopologyView view_from_plan(const LinkPlan& plan);
 
+/// A link's state is one number: its capacity factor in [0, 1], the
+/// fraction of nominal capacity it carries (weather derate), with 0
+/// meaning down (masked from routing). Throws unless `factors` holds one
+/// such factor per link of a plan with `link_count` links.
+void check_capacity_factors(const std::vector<double>& factors,
+                            std::size_t link_count);
+
+/// Writes nominal x factor into `view.capacity_bps`: edge e of a
+/// view_from_plan view gets `nominal_bps[e] * factors[link of e]`. The one
+/// place a factor vector scales capacity (latency is untouched — a derate
+/// changes rate, not distance). `nominal_bps` holds one capacity per edge
+/// and may be `view.capacity_bps` itself (scaled in place); `factors` is
+/// checked as check_capacity_factors does.
+void apply_capacity_factors(SimTopologyView& view,
+                            const std::vector<double>& nominal_bps,
+                            const std::vector<double>& factors);
+
 /// A runnable packet simulation instance (owns simulator + network wiring).
 struct SimInstance {
   std::unique_ptr<Simulator> sim;
@@ -95,12 +112,6 @@ struct SimInstance {
 /// entry point for scenarios that mutate the plan (failure models cutting
 /// links) before any backend commits to a representation.
 [[nodiscard]] SimInstance build_sim_from_plan(const LinkPlan& plan);
-
-/// Expands a traffic matrix into per-ordered-pair demands totalling
-/// `aggregate_gbps * rate_scale`.
-[[nodiscard]] std::vector<TrafficDemand> demands_from_traffic(
-    const std::vector<std::vector<double>>& traffic, double aggregate_gbps,
-    double rate_scale);
 
 /// One demand that will actually emit packets, with the phase seed it drew
 /// from the workload RNG. Seeds are drawn once, globally, in demand order —

@@ -119,7 +119,7 @@ CandidateRacer::CandidateRacer(const LinkPlan& plan,
 
 RaceOutcome CandidateRacer::race_pair(std::size_t pair,
                                       const std::vector<PairRoute>& routes,
-                                      const std::vector<LinkState>& state)
+                                      const std::vector<double>& factors)
     const {
   RaceOutcome out;
   const PairRoute& mw = routes[pair];
@@ -135,8 +135,8 @@ RaceOutcome CandidateRacer::race_pair(std::size_t pair,
     for (const graphs::EdgeId eid :
          net::path_edges(topo_.view.latency_graph, mw.path)) {
       if (!edge_is_mw_[eid]) continue;
-      const LinkState& ls = state[topo_.view.edge_to_link[eid] / 2];
-      mw_success = std::min(ls.up ? ls.capacity_factor : 0.0, mw_success);
+      mw_success =
+          std::min(factors[topo_.view.edge_to_link[eid] / 2], mw_success);
     }
   }
 
@@ -175,15 +175,14 @@ RaceOutcome CandidateRacer::race_pair(std::size_t pair,
 }
 
 RacingReport CandidateRacer::race(const std::vector<PairRoute>& routes,
-                                  const std::vector<LinkState>& state) const {
+                                  const std::vector<double>& factors) const {
   CISP_REQUIRE(routes.size() == demands_.size(),
                "racing needs one repaired route per demand");
-  CISP_REQUIRE(state.size() == plan_->links.size(),
-               "racing needs one link state per plan link");
+  check_capacity_factors(factors, plan_->links.size());
   RacingReport report;
   report.outcomes.resize(demands_.size());
   const auto race_one = [&](std::size_t f) {
-    report.outcomes[f] = race_pair(f, routes, state);
+    report.outcomes[f] = race_pair(f, routes, factors);
   };
   const std::size_t workers = options_.threads == 0
                                   ? engine::default_thread_count()
@@ -195,26 +194,6 @@ RacingReport CandidateRacer::race(const std::vector<PairRoute>& routes,
     for (std::size_t f = 0; f < demands_.size(); ++f) race_one(f);
   }
   for (std::size_t f = 0; f < demands_.size(); ++f) {
-    if ((routes[f].denied || routes[f].path.empty()) &&
-        report.outcomes[f].winner == RaceWinner::Fiber) {
-      ++report.recovered_pairs;
-    }
-  }
-  tally(report);
-  return report;
-}
-
-RacingReport CandidateRacer::race_serial(
-    const std::vector<PairRoute>& routes,
-    const std::vector<LinkState>& state) const {
-  CISP_REQUIRE(routes.size() == demands_.size(),
-               "racing needs one repaired route per demand");
-  CISP_REQUIRE(state.size() == plan_->links.size(),
-               "racing needs one link state per plan link");
-  RacingReport report;
-  report.outcomes.resize(demands_.size());
-  for (std::size_t f = 0; f < demands_.size(); ++f) {
-    report.outcomes[f] = race_pair(f, routes, state);
     if ((routes[f].denied || routes[f].path.empty()) &&
         report.outcomes[f].winner == RaceWinner::Fiber) {
       ++report.recovered_pairs;

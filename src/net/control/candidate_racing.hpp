@@ -24,8 +24,8 @@
 //
 // Determinism contract (pinned in te_test): each pair draws from its own
 // Rng seeded hash_combine(seed, pair index), so outcomes are independent
-// of sharding — race() with any thread count is byte-identical to the
-// serial oracle race_serial(). Healthy pairs consume exactly one
+// of sharding — race() with any thread count is byte-identical to race()
+// at threads = 1, one serial loop. Healthy pairs consume exactly one
 // always-success draw, so a degraded pair never perturbs its neighbors.
 
 #include <cstddef>
@@ -47,7 +47,7 @@ struct RacingOptions {
   std::size_t max_attempts = 3;
   std::uint64_t seed = 0;
   /// 1 = serial, 0 = all cores; outcomes are byte-identical for every
-  /// value (and equal to race_serial).
+  /// value.
   std::size_t threads = 1;
 };
 
@@ -91,15 +91,10 @@ class CandidateRacer {
                  RacingOptions options);
 
   /// Races every pair: `routes` are the repaired per-pair routes
-  /// (RouteRepairer::routes()) and `state` the cumulative link state
-  /// (RouteRepairer::link_state()) the MW attempt probabilities read.
+  /// (RouteRepairer::routes()) and `factors` the per-link capacity factors
+  /// (RouteRepairer::capacity_factors()) the MW attempt probabilities read.
   [[nodiscard]] RacingReport race(const std::vector<PairRoute>& routes,
-                                  const std::vector<LinkState>& state) const;
-
-  /// The sharding-free oracle: same inputs, same bytes, one loop.
-  [[nodiscard]] RacingReport race_serial(
-      const std::vector<PairRoute>& routes,
-      const std::vector<LinkState>& state) const;
+                                  const std::vector<double>& factors) const;
 
   /// The intact-plan view candidate paths index into (shared layout with
   /// RouteRepairer::view() for the same plan).
@@ -112,7 +107,7 @@ class CandidateRacer {
  private:
   [[nodiscard]] RaceOutcome race_pair(std::size_t pair,
                                       const std::vector<PairRoute>& routes,
-                                      const std::vector<LinkState>& state)
+                                      const std::vector<double>& factors)
       const;
 
   const LinkPlan* plan_;

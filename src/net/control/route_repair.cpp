@@ -20,8 +20,11 @@ constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 /// plan link i.
 std::size_t link_of_edge(graphs::EdgeId eid) { return eid / 2; }
 
-graphs::EdgeMask make_mask(const std::vector<LinkState>& state) {
-  return [&state](graphs::EdgeId eid) { return state[link_of_edge(eid)].up; };
+/// Up = factor above 0; a down link's arcs are masked from every search.
+graphs::EdgeMask make_mask(const std::vector<double>& factors) {
+  return [&factors](graphs::EdgeId eid) {
+    return factors[link_of_edge(eid)] > 0.0;
+  };
 }
 
 /// Path extraction that also pins the tree's parent arcs — extract_path
@@ -73,14 +76,11 @@ double pinned_latency_s(const SimTopologyView& view,
   return latency;
 }
 
-double degraded_bottleneck_bps(const SimTopologyView& view,
-                               const std::vector<LinkState>& state,
-                               const graphs::Path& path) {
+/// Bottleneck of `path` over the view's current (degraded) capacities.
+double bottleneck_bps(const SimTopologyView& view, const graphs::Path& path) {
   double bottleneck = std::numeric_limits<double>::infinity();
   for (const graphs::EdgeId eid : path.edges) {
-    bottleneck =
-        std::min(bottleneck, view.capacity_bps[eid] *
-                                 state[link_of_edge(eid)].capacity_factor);
+    bottleneck = std::min(bottleneck, view.capacity_bps[eid]);
   }
   return bottleneck;
 }
@@ -89,7 +89,7 @@ bool same_route(const graphs::Path& a, const graphs::Path& b) {
   return a.edges == b.edges && a.nodes == b.nodes;
 }
 
-/// The pure per-pair route function of (view, tree, link state, policy) —
+/// The pure per-pair route function of (view, tree, factors, policy) —
 /// shared verbatim by the incremental path and the full-recompute oracle,
 /// so equivalence is about WHICH pairs get re-evaluated, not arithmetic.
 PairRoute evaluate_pair(const SimTopologyView& view,
@@ -97,9 +97,9 @@ PairRoute evaluate_pair(const SimTopologyView& view,
                         const TrafficDemand& demand,
                         const graphs::Path& baseline,
                         const DetourPolicy& policy,
-                        const std::vector<LinkState>& state,
+                        const std::vector<double>& factors,
                         const flow::DirectKmFn& direct_km, bool* on_baseline) {
-  const graphs::EdgeMask mask = make_mask(state);
+  const graphs::EdgeMask mask = make_mask(factors);
   const graphs::Path tree_path =
       extract_pinned(view.latency_graph, tree, demand.dst);
   const double direct_s =
@@ -144,7 +144,7 @@ PairRoute evaluate_pair(const SimTopologyView& view,
     const double latency_s = pinned_latency_s(view, candidate);
     const double stretch = stretch_of(latency_s);
     if (stretch > policy.max_stretch) continue;
-    const double bottleneck = degraded_bottleneck_bps(view, state, candidate);
+    const double bottleneck = bottleneck_bps(view, candidate);
     if (!found || bottleneck > best_bottleneck ||
         (bottleneck == best_bottleneck && latency_s < best_latency)) {
       found = true;
@@ -179,7 +179,7 @@ PairRoute evaluate_pair(const SimTopologyView& view,
 /// removed, feasibility needs cap - (load - r) >= r, i.e. cap >= load,
 /// which the congested edge violates by definition.
 std::size_t rebalance_congested(const SimTopologyView& view,
-                                const std::vector<LinkState>& state,
+                                const std::vector<double>& factors,
                                 const std::vector<TrafficDemand>& demands,
                                 const std::vector<graphs::Path>& baselines,
                                 const DetourPolicy& policy,
@@ -187,9 +187,7 @@ std::size_t rebalance_congested(const SimTopologyView& view,
                                 std::vector<PairRoute>& routes,
                                 std::vector<char>* on_baseline) {
   const graphs::Graph& graph = view.latency_graph;
-  const auto capacity = [&](graphs::EdgeId eid) {
-    return view.capacity_bps[eid] * state[link_of_edge(eid)].capacity_factor;
-  };
+  const std::vector<double>& capacity = view.capacity_bps;
   std::vector<double> load(view.capacity_bps.size(), 0.0);
   for (std::size_t p = 0; p < demands.size(); ++p) {
     for (const graphs::EdgeId eid : routes[p].path.edges) {
@@ -204,7 +202,7 @@ std::size_t rebalance_congested(const SimTopologyView& view,
     if (route.denied || route.path.empty() || rate <= 0.0) continue;
     bool congested = false;
     for (const graphs::EdgeId eid : route.path.edges) {
-      if (load[eid] > capacity(eid)) {
+      if (load[eid] > capacity[eid]) {
         congested = true;
         break;
       }
@@ -213,8 +211,8 @@ std::size_t rebalance_congested(const SimTopologyView& view,
 
     for (const graphs::EdgeId eid : route.path.edges) load[eid] -= rate;
     const graphs::EdgeMask feasible = [&](graphs::EdgeId eid) {
-      return state[link_of_edge(eid)].up &&
-             capacity(eid) - load[eid] >= rate;
+      return factors[link_of_edge(eid)] > 0.0 &&
+             capacity[eid] - load[eid] >= rate;
     };
     const auto tree = graphs::dijkstra(graph, demands[p].src, feasible);
     graphs::Path candidate = extract_pinned(graph, tree, demands[p].dst);
@@ -257,7 +255,8 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
   if (threads_ != 1) {
     executor_ = std::make_unique<engine::Executor>(threads_);
   }
-  state_.assign(plan.links.size(), LinkState{});
+  nominal_bps_ = topo_.view.capacity_bps;
+  factors_.assign(plan.links.size(), 1.0);
 
   std::vector<std::size_t> slot_of_node(plan.node_count, kNoSlot);
   source_slot_.reserve(demands_.size());
@@ -272,7 +271,7 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
   }
 
   trees_.resize(sources_.size());
-  const graphs::EdgeMask mask = make_mask(state_);
+  const graphs::EdgeMask mask = make_mask(factors_);
   const auto build_tree = [&](std::size_t s) {
     trees_[s] = graphs::dijkstra(topo_.view.latency_graph, sources_[s], mask);
   };
@@ -295,8 +294,8 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
   std::vector<std::size_t> all(demands_.size());
   for (std::size_t p = 0; p < all.size(); ++p) all[p] = p;
   evaluate_pairs(all);
-  rebalance_congested(topo_.view, state_, demands_, baseline_paths_, policy_,
-                      direct_km_, routes_, &on_baseline_);
+  rebalance_congested(topo_.view, factors_, demands_, baseline_paths_,
+                      policy_, direct_km_, routes_, &on_baseline_);
 }
 
 void RouteRepairer::evaluate_pairs(const std::vector<std::size_t>& dirty) {
@@ -305,7 +304,7 @@ void RouteRepairer::evaluate_pairs(const std::vector<std::size_t>& dirty) {
     bool on_baseline = false;
     routes_[p] = evaluate_pair(topo_.view, trees_[source_slot_[p]],
                                demands_[p], baseline_paths_[p], policy_,
-                               state_, direct_km_, &on_baseline);
+                               factors_, direct_km_, &on_baseline);
     on_baseline_[p] = on_baseline ? 1 : 0;
   };
   if (executor_) {
@@ -315,31 +314,28 @@ void RouteRepairer::evaluate_pairs(const std::vector<std::size_t>& dirty) {
   }
 }
 
-RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
-  const obs::TraceSpan span("control.repair", "control", "deltas",
-                            static_cast<double>(deltas.size()));
+RepairStats RouteRepairer::apply(const std::vector<double>& factors) {
+  // Checks `factors` before anything changes (a calm vector rewrites the
+  // same capacities).
+  apply_capacity_factors(topo_.view, nominal_bps_, factors);
   std::vector<std::size_t> downed;
   std::vector<std::size_t> restored;
-  bool state_changed = false;
-  for (const LinkDelta& delta : deltas) {
-    CISP_REQUIRE(delta.link < state_.size(), "link delta out of range");
-    CISP_REQUIRE(
-        delta.capacity_factor >= 0.0 && delta.capacity_factor <= 1.0,
-        "capacity factor must be in [0, 1]");
-    LinkState& link = state_[delta.link];
-    if (link.up != delta.up || link.capacity_factor != delta.capacity_factor) {
-      state_changed = true;
-    }
-    if (link.up && !delta.up) downed.push_back(delta.link);
-    if (!link.up && delta.up) restored.push_back(delta.link);
-    link.up = delta.up;
-    link.capacity_factor = delta.capacity_factor;
+  std::size_t changed_links = 0;
+  for (std::size_t link = 0; link < factors.size(); ++link) {
+    const double was = factors_[link];
+    const double now = factors[link];
+    if (now == was) continue;
+    ++changed_links;
+    if (was > 0.0 && now == 0.0) downed.push_back(link);
+    if (was == 0.0 && now > 0.0) restored.push_back(link);
   }
+  const obs::TraceSpan span("control.repair", "control", "changed_links",
+                            static_cast<double>(changed_links));
 
-  // Calm epoch: routes are a pure function of the cumulative state, so a
-  // batch that changes nothing (weather pipelines emit plenty of those)
-  // can return without touching a tree, a pair, or the rebalance pass.
-  if (!state_changed) {
+  // Calm epoch: routes are a pure function of the factors, so a vector
+  // that changes nothing (weather pipelines hand in plenty of those) can
+  // return without touching a tree, a pair, or the rebalance pass.
+  if (changed_links == 0) {
     RepairStats stats;
     stats.sources = sources_.size();
     for (const PairRoute& route : routes_) {
@@ -349,6 +345,7 @@ RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
     obs::counter("control.repair.batches").add(1);
     return stats;
   }
+  factors_ = factors;
 
   // A tree is affected by a downed link iff one of its arcs is a tree edge;
   // by a restored link iff an arc could relax a label. The restored test
@@ -384,7 +381,7 @@ RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
     }
   }
 
-  const graphs::EdgeMask mask = make_mask(state_);
+  const graphs::EdgeMask mask = make_mask(factors_);
   const auto rebuild = [&](std::size_t i) {
     const std::size_t s = affected[i];
     trees_[s] = graphs::dijkstra(graph, sources_[s], mask);
@@ -411,6 +408,7 @@ RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
   evaluate_pairs(dirty);
 
   RepairStats stats;
+  stats.changed_links = changed_links;
   stats.sources = sources_.size();
   stats.touched_sources = affected.size();
   stats.touched_pairs = dirty.size();
@@ -424,9 +422,9 @@ RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
   // Global pass: changed_pairs above counts the repair step only; moves
   // here (which may touch pairs the repair step skipped) are reported
   // separately. Moved pairs leave/return to baseline, which keeps them in
-  // next batch's dirty set via on_baseline_.
+  // the next apply's dirty set via on_baseline_.
   stats.rebalanced_pairs =
-      rebalance_congested(topo_.view, state_, demands_, baseline_paths_,
+      rebalance_congested(topo_.view, factors_, demands_, baseline_paths_,
                           policy_, direct_km_, routes_, &on_baseline_);
   for (const PairRoute& route : routes_) {
     if (route.denied) ++stats.denied_pairs;
@@ -441,18 +439,6 @@ RepairStats RouteRepairer::apply(const std::vector<LinkDelta>& deltas) {
   return stats;
 }
 
-void RouteRepairer::reset() {
-  std::vector<LinkDelta> deltas;
-  deltas.reserve(state_.size());
-  for (std::size_t link = 0; link < state_.size(); ++link) {
-    const LinkState& s = state_[link];
-    if (!s.up || s.capacity_factor != 1.0) {
-      deltas.push_back(LinkDelta{link, true, 1.0});
-    }
-  }
-  if (!deltas.empty()) apply(deltas);
-}
-
 MultipathRouteSet RouteRepairer::route_set() const {
   MultipathRouteSet set;
   set.pair_paths.reserve(routes_.size());
@@ -460,24 +446,14 @@ MultipathRouteSet RouteRepairer::route_set() const {
   return set;
 }
 
-std::vector<double> RouteRepairer::capacity_factors() const {
-  std::vector<double> factors;
-  factors.reserve(state_.size());
-  for (const LinkState& link : state_) {
-    factors.push_back(link.up ? link.capacity_factor : 0.0);
-  }
-  return factors;
-}
-
 std::vector<PairRoute> RouteRepairer::full_recompute(
     const LinkPlan& plan, const std::vector<TrafficDemand>& demands,
     const DetourPolicy& policy, const flow::DirectKmFn& direct_km,
-    const std::vector<LinkState>& state) {
-  CISP_REQUIRE(state.size() == plan.links.size(),
-               "link state / plan size mismatch");
-  const TopologyView topo = view_from_plan(plan);
+    const std::vector<double>& factors) {
+  TopologyView topo = view_from_plan(plan);
+  apply_capacity_factors(topo.view, topo.view.capacity_bps, factors);
   const graphs::EdgeMask intact_mask = nullptr;
-  const graphs::EdgeMask mask = make_mask(state);
+  const graphs::EdgeMask mask = make_mask(factors);
 
   // Fresh per-source trees over the intact plan (baselines) and over the
   // degraded state — no incrementality anywhere.
@@ -512,12 +488,12 @@ std::vector<PairRoute> RouteRepairer::full_recompute(
     CISP_REQUIRE(!baseline.empty(), "demand unroutable on the intact plan");
     bool on_baseline = false;
     routes.push_back(evaluate_pair(topo.view, degraded_trees[source_slot[p]],
-                                   demands[p], baseline, policy, state,
+                                   demands[p], baseline, policy, factors,
                                    direct_km, &on_baseline));
     baselines.push_back(std::move(baseline));
   }
-  rebalance_congested(topo.view, state, demands, baselines, policy, direct_km,
-                      routes, nullptr);
+  rebalance_congested(topo.view, factors, demands, baselines, policy,
+                      direct_km, routes, nullptr);
   return routes;
 }
 

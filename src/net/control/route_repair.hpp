@@ -9,26 +9,28 @@
 // failure draw:
 //
 //   * The baseline is one shortest-path tree per distinct demand source
-//     over the intact plan (the same trees compute_routes builds). Link
-//     deltas (down/up/capacity-derate) MASK edges of that one graph — the
-//     graph is never rebuilt, so node/edge ids are stable across the whole
-//     delta sequence.
-//   * A delta batch only recomputes the trees it can affect: a downed link
-//     matters to a tree iff one of its arcs is a tree edge
-//     (parent_edge[to] == eid); a restored link matters iff it could relax
-//     a label (dist[from] + w <= dist[to] — NON-strict, because an
-//     equal-length arc can still become the final parent through an
-//     intermediate relaxation).
+//     over the intact plan (the same trees compute_routes builds). A link's
+//     state is its capacity factor (net/builder.hpp: in [0, 1], 0 = down):
+//     a down link is MASKED from that one graph, a derated one keeps its
+//     arcs at reduced capacity — the graph is never rebuilt, so node/edge
+//     ids are stable across the whole factor sequence.
+//   * Each `apply` takes the epoch's full factor vector and finds the
+//     churn itself: only the trees the changed links can affect are
+//     recomputed. A downed link matters to a tree iff one of its arcs is
+//     a tree edge (parent_edge[to] == eid); a restored link matters iff it
+//     could relax a label (dist[from] + w <= dist[to] — NON-strict,
+//     because an equal-length arc can still become the final parent
+//     through an intermediate relaxation).
 //   * Pairs are re-evaluated iff their source tree was recomputed or their
 //     current route is off its baseline path (off-baseline routes depend
 //     on capacities/topology beyond the tree, so they stay dirty until
 //     they return to baseline). Everything else is untouched — which is
 //     what makes thousands of draws cheap.
 //
-// The route of a pair is a pure function of (plan, link state, policy):
-// `apply` after any delta sequence yields byte-identical routes to
-// `full_recompute` on the same cumulative state, at every thread count.
-// Tests pin both properties.
+// The route of a pair is a pure function of (plan, factors, policy):
+// `apply` after any factor sequence yields byte-identical routes to
+// `full_recompute` on the same factors, at every thread count. Tests pin
+// both properties.
 //
 // Detour policy: a pair whose tree path left its baseline chooses among up
 // to `candidates` masked Yen paths, keeps only those with stretch (path
@@ -61,25 +63,6 @@
 
 namespace cisp::net::control {
 
-/// One link-state change relative to the baseline LinkPlan. Links are
-/// identified by their index into the plan's link list; the plan itself is
-/// never mutated.
-struct LinkDelta {
-  std::size_t link = 0;
-  /// false: the link carries no traffic (both arcs masked out).
-  bool up = true;
-  /// Degraded fraction of nominal capacity in [0, 1] (adaptive modulation
-  /// under rain). Latency is unaffected — MW derate changes rate, not
-  /// distance.
-  double capacity_factor = 1.0;
-};
-
-/// Current state of one link (the cumulative effect of applied deltas).
-struct LinkState {
-  bool up = true;
-  double capacity_factor = 1.0;
-};
-
 /// Detour admission policy for pairs displaced from their baseline path.
 struct DetourPolicy {
   /// A repaired route is admitted only while path latency / geodesic
@@ -100,11 +83,12 @@ struct PairRoute {
   bool denied = false;     ///< no admissible route under the policy
 };
 
-/// What one `apply` batch touched (obs counters mirror these).
+/// What one `apply` touched (obs counters mirror these).
 struct RepairStats {
+  std::size_t changed_links = 0;    ///< links whose factor changed
   std::size_t sources = 0;          ///< distinct demand sources overall
-  std::size_t touched_sources = 0;  ///< trees recomputed this batch
-  std::size_t touched_pairs = 0;    ///< pairs re-evaluated this batch
+  std::size_t touched_sources = 0;  ///< trees recomputed this apply
+  std::size_t touched_pairs = 0;    ///< pairs re-evaluated this apply
   std::size_t changed_pairs = 0;    ///< pairs whose route actually changed
   std::size_t rebalanced_pairs = 0;  ///< pairs moved off congested edges
   std::size_t detoured_pairs = 0;   ///< current off-baseline (served) pairs
@@ -121,38 +105,38 @@ class RouteRepairer {
                 DetourPolicy policy, flow::DirectKmFn direct_km,
                 std::size_t threads = 1);
 
-  /// Applies a batch of link deltas and repairs affected routes. Returns
-  /// what the batch touched. Deltas referencing out-of-range links or
-  /// factors outside [0, 1] throw.
-  RepairStats apply(const std::vector<LinkDelta>& deltas);
-
-  /// Restores the intact baseline (all links up at full capacity).
-  void reset();
+  /// Moves every link to `factors` (one capacity factor per plan link,
+  /// 0 = down) and repairs the routes the changed links affect. Returns
+  /// what the change touched; re-applying the current factors is a calm
+  /// no-op. Throws on a wrong size or a factor outside [0, 1], before
+  /// anything changes.
+  RepairStats apply(const std::vector<double>& factors);
 
   [[nodiscard]] const std::vector<PairRoute>& routes() const {
     return routes_;
   }
-  [[nodiscard]] const std::vector<LinkState>& link_state() const {
-    return state_;
+  /// The current per-link capacity factors (the last `apply`'s vector;
+  /// all 1 before any) — what TrafficRunOptions::capacity_factor and
+  /// CandidateRacer::race read.
+  [[nodiscard]] const std::vector<double>& capacity_factors() const {
+    return factors_;
   }
-  /// The routable view of the INTACT plan (downed links are masked, not
-  /// removed — pair paths index into this graph).
+  /// The routable view of the INTACT plan: downed links are masked, not
+  /// removed, so pair paths index into this graph. Its capacities are the
+  /// current ones (nominal x factor).
   [[nodiscard]] const SimTopologyView& view() const { return topo_.view; }
 
   /// Per-demand weight-1 route sets for TrafficRunOptions::route_set
   /// (empty set = denied).
   [[nodiscard]] MultipathRouteSet route_set() const;
-  /// Per-duplex-link capacity factors for TrafficRunOptions::
-  /// capacity_factor (0 for downed links).
-  [[nodiscard]] std::vector<double> capacity_factors() const;
 
-  /// The equivalence oracle: routes on the cumulative `state`, computed
-  /// from scratch (fresh Dijkstra per source, every pair evaluated). Tests
-  /// pin `apply(...deltas...).routes() == full_recompute(...)` exactly.
+  /// The equivalence oracle: routes on `factors`, computed from scratch
+  /// (fresh Dijkstra per source, every pair evaluated). Tests pin
+  /// `apply(factors).routes() == full_recompute(..., factors)` exactly.
   [[nodiscard]] static std::vector<PairRoute> full_recompute(
       const LinkPlan& plan, const std::vector<TrafficDemand>& demands,
       const DetourPolicy& policy, const flow::DirectKmFn& direct_km,
-      const std::vector<LinkState>& state);
+      const std::vector<double>& factors);
 
  private:
   void evaluate_pairs(const std::vector<std::size_t>& dirty);
@@ -165,7 +149,8 @@ class RouteRepairer {
   std::size_t threads_;
   std::unique_ptr<engine::Executor> executor_;
 
-  std::vector<LinkState> state_;
+  std::vector<double> nominal_bps_;  ///< per view edge, intact capacities
+  std::vector<double> factors_;      ///< per plan link, current
   std::vector<graphs::NodeId> sources_;      ///< distinct demand sources
   std::vector<std::size_t> source_slot_;     ///< per demand -> sources_ idx
   std::vector<graphs::ShortestPathTree> trees_;     ///< current, per source

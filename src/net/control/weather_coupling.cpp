@@ -30,23 +30,4 @@ std::vector<double> link_capacity_factors(
   return factors;
 }
 
-std::vector<LinkDelta> deltas_from_factors(
-    const LinkPlan& plan, const std::vector<double>& factors,
-    const std::vector<LinkState>& previous) {
-  CISP_REQUIRE(factors.size() == plan.links.size(),
-               "factors / plan size mismatch");
-  CISP_REQUIRE(previous.size() == plan.links.size(),
-               "link state / plan size mismatch");
-  std::vector<LinkDelta> deltas;
-  for (std::size_t i = 0; i < plan.links.size(); ++i) {
-    if (!plan.links[i].is_mw) continue;
-    const bool up = factors[i] > 0.0;
-    const double derate = up ? factors[i] : 1.0;
-    if (previous[i].up != up || previous[i].capacity_factor != derate) {
-      deltas.push_back(LinkDelta{i, up, derate});
-    }
-  }
-  return deltas;
-}
-
 }  // namespace cisp::net::control

@@ -1,22 +1,24 @@
 #pragma once
-// Couples the synthetic rain process to the LinkPlan: per-MW-link capacity
+// Couples the synthetic rain process to the LinkPlan: per-link capacity
 // factors from weather::link_capacity_factor (the same rain -> attenuation
-// vs fade-margin rule the Fig. 7 study runs over tower hops), emitted as
-// LinkDeltas the RouteRepairer consumes. This is the pipeline that turns
-// fig07-class weather and the failure scenarios into ONE story — a year of
-// weather-driven topology churn with per-epoch rerouting.
+// vs fade-margin rule the Fig. 7 study runs over tower hops), in the one
+// link-state shape the RouteRepairer, the racer and the allocator read
+// (net/builder.hpp: a factor in [0, 1] per plan link, 0 = down). This is
+// the pipeline that turns fig07-class weather and the failure scenarios
+// into ONE story — a year of weather-driven topology churn with per-epoch
+// rerouting.
 //
 // A planned link carries no tower path, so its hops are the great circle
 // between its endpoints split into budget-scale hops
 // (weather::great_circle_hops), built once per link.
 //
-// Fiber never degrades (the paper's always-on backstop), so deltas are
-// emitted for MW links only.
+// Fiber never degrades (the paper's always-on backstop): fiber links get no
+// hops, so their factor is always 1.
 
 #include <vector>
 
 #include "geo/latlon.hpp"
-#include "net/control/route_repair.hpp"
+#include "net/builder.hpp"
 #include "weather/outage.hpp"
 #include "weather/rainfield.hpp"
 
@@ -33,14 +35,5 @@ namespace cisp::net::control {
 [[nodiscard]] std::vector<double> link_capacity_factors(
     const LinkPlan& plan, const std::vector<weather::HopList>& geometry,
     const weather::RainField& rain, double t_s);
-
-/// LinkDeltas from per-link capacity factors relative to `previous` link
-/// state: only MW links whose state changed appear, so consecutive epochs
-/// hand the repairer exactly the churn. A factor of 0 is emitted as
-/// up=false (binary outage); `previous` must have one entry per plan link
-/// (RouteRepairer::link_state()).
-[[nodiscard]] std::vector<LinkDelta> deltas_from_factors(
-    const LinkPlan& plan, const std::vector<double>& factors,
-    const std::vector<LinkState>& previous);
 
 }  // namespace cisp::net::control

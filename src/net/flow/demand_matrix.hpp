@@ -28,9 +28,9 @@ struct PairDemand {
 class DemandMatrix {
  public:
   /// Expands a traffic matrix into per-ordered-pair demands totalling
-  /// `aggregate_gbps * rate_scale` (same arithmetic as the historical
-  /// net::demands_from_traffic, which now delegates here). Each pair
-  /// counts as one user.
+  /// `aggregate_gbps * rate_scale`; `.to_demands()` gives the flat demand
+  /// list the routing and repair layers take. Each pair counts as one
+  /// user.
   [[nodiscard]] static DemandMatrix from_traffic(
       const std::vector<std::vector<double>>& traffic, double aggregate_gbps,
       double rate_scale);

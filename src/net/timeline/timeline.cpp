@@ -31,7 +31,7 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
       options_(std::move(options)),
       // Routes are planned against the BASE (nominal) demand rates: the
       // control plane sees planning-time demand, so diurnal swings never
-      // churn routes — only link-state deltas do. The allocator runs on
+      // churn routes — only link-state churn does. The allocator runs on
       // the epoch rates.
       repairer_(plan, base_.to_demands(), options_.policy, direct_km_,
                 options_.threads),
@@ -58,12 +58,7 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
     CISP_REQUIRE(!options_.factor_schedule->empty(),
                  "factor schedule must have at least one epoch");
     for (const auto& row : *options_.factor_schedule) {
-      CISP_REQUIRE(row.size() == plan.links.size(),
-                   "factor schedule rows must cover every plan link");
-      for (const double f : row) {
-        CISP_REQUIRE(f >= 0.0 && f <= 1.0,
-                     "capacity factor must be in [0, 1]");
-      }
+      check_capacity_factors(row, plan.links.size());
     }
   }
   for (const flow::PairDemand& pair : base_.pairs()) {
@@ -94,15 +89,21 @@ double TimelineDriver::epoch_growth(double utc_hour) const {
 
 std::vector<double> TimelineDriver::epoch_link_factors(
     std::size_t epoch_index) const {
+  std::vector<double> factors;
   if (options_.rain != nullptr) {
-    return control::link_capacity_factors(*plan_, geometry_, *options_.rain,
-                                          epoch_hour(epoch_index) * 3600.0);
+    factors = control::link_capacity_factors(
+        *plan_, geometry_, *options_.rain, epoch_hour(epoch_index) * 3600.0);
+  } else if (options_.factor_schedule != nullptr) {
+    factors = (*options_.factor_schedule)[epoch_index %
+                                          options_.factor_schedule->size()];
+  } else {
+    factors.assign(plan_->links.size(), 1.0);
   }
-  if (options_.factor_schedule != nullptr) {
-    return (*options_.factor_schedule)[epoch_index %
-                                       options_.factor_schedule->size()];
+  // Fiber never degrades (the paper's always-on backstop).
+  for (std::size_t i = 0; i < factors.size(); ++i) {
+    if (!plan_->links[i].is_mw) factors[i] = 1.0;
   }
-  return std::vector<double>(plan_->links.size(), 1.0);
+  return factors;
 }
 
 EpochStats TimelineDriver::evaluate(const SimTopologyView& view,
@@ -193,27 +194,20 @@ EpochStats TimelineDriver::step() {
   const double hour = epoch_hour(e);
   const double growth = epoch_growth(hour);
 
-  // Link churn only: the repairer sees the delta between consecutive
-  // epochs, never the full state.
+  // The repairer finds the churn since the previous epoch itself and
+  // repairs only what it affects.
   const std::vector<double> factors = epoch_link_factors(e);
-  const std::vector<control::LinkDelta> deltas =
-      control::deltas_from_factors(*plan_, factors, repairer_.link_state());
-  const control::RepairStats repair = repairer_.apply(deltas);
+  const control::RepairStats repair = repairer_.apply(factors);
 
   // In-place demand rewrite (no user re-apportionment) and in-place
   // capacity rewrite on the stable graph.
   scenario::apply_diurnal_in_place(base_, options_.diurnal, hour, growth,
                                    current_);
-  const std::vector<double> cap_factors = repairer_.capacity_factors();
-  for (std::size_t edge = 0; edge < topo_.view.capacity_bps.size(); ++edge) {
-    topo_.view.capacity_bps[edge] =
-        nominal_capacity_bps_[edge] *
-        cap_factors[topo_.view.edge_to_link[edge] / 2];
-  }
+  apply_capacity_factors(topo_.view, nominal_capacity_bps_, factors);
 
   // TE mode: the epoch's split weights re-solve against the degraded
   // capacities (warm caches skip work that hasn't changed); the repairer's
-  // routes are unused but its link state drove the capacity rewrite above.
+  // routes are unused.
   MultipathRouteSet routes =
       options_.multipath_te
           ? solve_epoch_splits(topo_.view, nominal_capacity_bps_, &te_warm_)
@@ -221,7 +215,7 @@ EpochStats TimelineDriver::step() {
           : repairer_.route_set();
   EpochStats row = evaluate(topo_.view, std::move(routes), current_, e, hour,
                             growth, &warm_, last_outcomes_);
-  row.link_deltas = deltas.size();
+  row.link_deltas = repair.changed_links;
   row.touched_pairs = repair.touched_pairs;
   row.changed_pairs = repair.changed_pairs;
 
@@ -253,27 +247,13 @@ EpochStats TimelineDriver::evaluate_cold(std::size_t epoch_index) const {
   const double growth = epoch_growth(hour);
   const std::vector<double> factors = epoch_link_factors(epoch_index);
 
-  // Cumulative link state straight from the epoch's factors — the same
-  // state deltas_from_factors would have walked the repairer into (MW
-  // links only; fiber never degrades).
-  std::vector<control::LinkState> state(plan_->links.size());
-  for (std::size_t i = 0; i < plan_->links.size(); ++i) {
-    if (!plan_->links[i].is_mw) continue;
-    state[i].up = factors[i] > 0.0;
-    state[i].capacity_factor = state[i].up ? factors[i] : 1.0;
-  }
-
   // Full rebuild: fresh view (its capacities ARE the nominal ones —
   // copied before scaling so the TE gather sees the same bytes step()
   // passes), fresh demand copy, cold allocation — exactly one
   // independent scenario cell.
   TopologyView topo = view_from_plan(*plan_);
   const std::vector<double> nominal = topo.view.capacity_bps;
-  for (std::size_t edge = 0; edge < topo.view.capacity_bps.size(); ++edge) {
-    const std::size_t link = topo.view.edge_to_link[edge] / 2;
-    topo.view.capacity_bps[edge] *=
-        state[link].up ? state[link].capacity_factor : 0.0;
-  }
+  apply_capacity_factors(topo.view, nominal, factors);
 
   flow::DemandMatrix demands =
       scenario::apply_diurnal(base_, options_.diurnal, hour);
@@ -290,7 +270,7 @@ EpochStats TimelineDriver::evaluate_cold(std::size_t epoch_index) const {
     std::vector<control::PairRoute> repaired =
         control::RouteRepairer::full_recompute(*plan_, base_.to_demands(),
                                                options_.policy, direct_km_,
-                                               state);
+                                               factors);
     routes.pair_paths.reserve(repaired.size());
     for (control::PairRoute& route : repaired) {
       routes.push_single(std::move(route.path));

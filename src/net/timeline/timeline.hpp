@@ -5,9 +5,10 @@
 // field × optional demand growth) and carries state epoch-to-epoch
 // instead of rebuilding:
 //
-//   * routes    — control::RouteRepairer consumes only the link-state
-//                 CHURN between consecutive epochs (LinkDelta batches);
-//                 the graph is built once for the whole timeline.
+//   * routes    — control::RouteRepairer takes each epoch's per-link
+//                 capacity factors and repairs only what the CHURN since
+//                 the previous epoch affects; the graph is built once for
+//                 the whole timeline.
 //   * demands   — the base DemandMatrix is apportioned once; each epoch
 //                 rewrites pair rates in place (diurnal activity × demand
 //                 growth), never re-apportioning users.
@@ -64,7 +65,8 @@ struct TimelineOptions {
   /// Scripted per-epoch capacity-factor schedule (one factor per plan
   /// link, cycled when shorter than the timeline) — the precompute-and-
   /// replay idiom of the control_availability pipeline. Must outlive the
-  /// driver. Only MW links take effect (fiber never degrades).
+  /// driver. Only MW entries take effect: fiber never degrades, so a
+  /// fiber entry below 1 is read as 1.
   const std::vector<std::vector<double>>* factor_schedule = nullptr;
   /// Detour admission for repaired routes (pairs over max_stretch are
   /// denied, not stretched).
@@ -76,8 +78,8 @@ struct TimelineOptions {
   /// BASE demand rates (like the repairer's routes), so diurnal swings
   /// never churn the solve — only link-state changes do — and candidate
   /// pools are gathered once against nominal capacities and carried
-  /// through the driver's te::SplitWarmState. The repairer still tracks
-  /// link state (capacity factors); its routes are unused in this mode.
+  /// through the driver's te::SplitWarmState. The repairer still runs
+  /// (its churn fills EpochStats); its routes are unused in this mode.
   bool multipath_te = false;
   /// TE knobs for multipath_te. `threads`, `warm` and
   /// `gather_capacity_bps` are driver-owned and ignored here.
@@ -112,7 +114,8 @@ struct EpochStats {
   double available_fraction = 1.0;
   double mean_link_utilization = 0.0;
   double max_link_utilization = 0.0;
-  /// Repair churn this epoch.
+  /// Repair churn this epoch: links whose capacity factor changed since
+  /// the previous epoch (RepairStats::changed_links), then pairs.
   std::size_t link_deltas = 0;
   std::size_t touched_pairs = 0;
   std::size_t changed_pairs = 0;
@@ -151,16 +154,17 @@ class TimelineDriver {
                  flow::DemandMatrix base, flow::DirectKmFn direct_km,
                  TimelineOptions options);
 
-  /// Advances one epoch and returns its stats. Warm path: deltas into the
-  /// repairer, in-place demand rewrite, warm-started allocation.
+  /// Advances one epoch and returns its stats. Warm path: the epoch's
+  /// factors into the repairer, in-place demand and capacity rewrite,
+  /// warm-started allocation.
   EpochStats step();
 
   /// Steps until options.epochs epochs have run; returns all new rows.
   std::vector<EpochStats> run();
 
   /// The independent-cell evaluation of epoch `e` (full rebuild: fresh
-  /// view, full route recompute on the cumulative link state, fresh
-  /// demand copy, cold allocation). This is both the equivalence oracle
+  /// view, full route recompute on the epoch's factors, fresh demand
+  /// copy, cold allocation). This is both the equivalence oracle
   /// for the warm path and the perf baseline the timeline_year_step
   /// kernel beats. Does not advance or read any carried state except the
   /// availability accounting (which it does NOT touch).
@@ -182,6 +186,9 @@ class TimelineDriver {
  private:
   [[nodiscard]] double epoch_hour(std::size_t epoch_index) const;
   [[nodiscard]] double epoch_growth(double utc_hour) const;
+  /// The epoch's per-link capacity factors from the rain source or the
+  /// schedule (all 1 without either) — the one place the rule "only MW
+  /// entries take effect" is applied.
   [[nodiscard]] std::vector<double> epoch_link_factors(
       std::size_t epoch_index) const;
   /// Epoch evaluation (flow::realize_routes + the fairness/SLO row) of

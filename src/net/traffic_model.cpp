@@ -210,18 +210,9 @@ class FluidTrafficModel final : public TrafficModel {
             ? view_from_plan(*options.plan)
             : view_from_plan(plan_links(input_, plan_, build_));
     if (options.capacity_factor != nullptr) {
-      // Weather derates: per-duplex-link factors scale the edge
-      // capacities of the run's plan in place (latency is untouched).
-      const std::vector<double>& factors = *options.capacity_factor;
-      CISP_REQUIRE(factors.size() * 2 == topo.view.capacity_bps.size(),
-                   "capacity factors must cover every plan link");
-      for (const double factor : factors) {
-        CISP_REQUIRE(factor >= 0.0 && factor <= 1.0,
-                     "capacity factor must be in [0, 1]");
-      }
-      for (std::size_t e = 0; e < topo.view.capacity_bps.size(); ++e) {
-        topo.view.capacity_bps[e] *= factors[topo.view.edge_to_link[e] / 2];
-      }
+      // Weather derates scale the run plan's capacities in place.
+      apply_capacity_factors(topo.view, topo.view.capacity_bps,
+                             *options.capacity_factor);
     }
     MultipathRouteSet routes;
     if (options.route_set != nullptr) {

@@ -80,10 +80,11 @@ struct TrafficRunOptions {
   /// denies the pair (counted, delivered zero). When set, `scheme` is
   /// ignored. Must outlive the run; the packet backend rejects it.
   const MultipathRouteSet* route_set = nullptr;
-  /// Per-duplex-link capacity derate factors in [0, 1] over the run's
-  /// plan (control::RouteRepairer::capacity_factors(): weather-derated
-  /// links < 1, downed links 0 — a repaired route set already avoids the
-  /// latter). Fluid backends only; must outlive the run.
+  /// Per-link capacity factors over the run's plan, the one link-state
+  /// shape (net/builder.hpp: in [0, 1], weather-derated links < 1, downed
+  /// links 0 — a repaired route set already avoids the latter; e.g.
+  /// control::RouteRepairer::capacity_factors()). Applied with
+  /// apply_capacity_factors. Fluid backends only; must outlive the run.
   const std::vector<double>* capacity_factor = nullptr;
 };
 

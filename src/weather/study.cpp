@@ -11,7 +11,7 @@ namespace cisp::weather {
 
 namespace {
 
-/// Scalar per-day outcome (pair stretches go into a SamplesBank).
+/// Scalar per-day outcome (pair stretches go into per-day slots).
 struct DayOutcome {
   double down_fraction = 0.0;
   bool any_outage = false;

@@ -1,7 +1,8 @@
 // Tests for the failure-reactive control plane (net/control): incremental
 // route repair must be byte-identical to the full-recompute oracle after
-// arbitrary delta sequences (down/up/derate, several seeds and topologies)
-// and invariant across thread counts; the detour policy must never admit a
+// arbitrary capacity-factor sequences (down/restore/derate, several seeds
+// and topologies) and invariant across thread counts; re-applying the
+// current factors must be calm; the detour policy must never admit a
 // route over its stretch bound; the constructed A/B/C fixture pins the PR 5
 // non-monotonicity under pinned routing AND its repair under the control
 // plane; the weather coupling must be deterministic, bounded, MW-only and
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -131,28 +133,24 @@ std::vector<Fixture> all_fixtures() {
   return {square_fixture(), chain_fixture(), random_fixture(71)};
 }
 
-/// 1-3 random deltas: down, restore, or derate, on any link.
-std::vector<control::LinkDelta> random_batch(Rng& rng, std::size_t links) {
-  std::vector<control::LinkDelta> batch;
+/// 1-3 random mutations of a per-link factor vector: down (0), restore
+/// (1), or derate (0.25-0.95), on any link.
+void mutate(Rng& rng, std::vector<double>& factors) {
   const std::size_t n = 1 + rng.uniform_index(3);
   for (std::size_t i = 0; i < n; ++i) {
-    control::LinkDelta delta;
-    delta.link = rng.uniform_index(links);
+    double& factor = factors[rng.uniform_index(factors.size())];
     switch (rng.uniform_index(3)) {
       case 0:
-        delta.up = false;
+        factor = 0.0;
         break;
       case 1:
-        delta.up = true;
+        factor = 1.0;
         break;
       default:
-        delta.up = true;
-        delta.capacity_factor = rng.uniform(0.25, 0.95);
+        factor = rng.uniform(0.25, 0.95);
         break;
     }
-    batch.push_back(delta);
   }
-  return batch;
 }
 
 void expect_routes_equal(const std::vector<control::PairRoute>& a,
@@ -172,7 +170,7 @@ void expect_routes_equal(const std::vector<control::PairRoute>& a,
 }
 
 // ---------------------------------------------------------------------------
-// Incremental repair == full recompute, over randomized delta sequences
+// Incremental repair == full recompute, over randomized factor sequences
 // ---------------------------------------------------------------------------
 
 TEST(RouteRepair, MatchesFullRecomputeAfterEveryRandomizedStep) {
@@ -184,18 +182,22 @@ TEST(RouteRepair, MatchesFullRecomputeAfterEveryRandomizedStep) {
       control::RouteRepairer repairer(f.plan, f.demands, policy,
                                       f.direct_km());
       Rng rng(seed);
+      std::vector<double> factors(f.plan.links.size(), 1.0);
       for (int step = 0; step < 30; ++step) {
-        (void)repairer.apply(random_batch(rng, f.plan.links.size()));
+        mutate(rng, factors);
+        (void)repairer.apply(factors);
         const auto oracle = control::RouteRepairer::full_recompute(
-            f.plan, f.demands, policy, f.direct_km(), repairer.link_state());
+            f.plan, f.demands, policy, f.direct_km(),
+            repairer.capacity_factors());
         SCOPED_TRACE("fixture " + std::to_string(fixture_id) + " seed " +
                      std::to_string(seed) + " step " + std::to_string(step));
         expect_routes_equal(repairer.routes(), oracle, "incremental/oracle");
       }
-      repairer.reset();
+      (void)repairer.apply(std::vector<double>(f.plan.links.size(), 1.0));
       const auto intact = control::RouteRepairer::full_recompute(
-          f.plan, f.demands, policy, f.direct_km(), repairer.link_state());
-      expect_routes_equal(repairer.routes(), intact, "after reset");
+          f.plan, f.demands, policy, f.direct_km(),
+          repairer.capacity_factors());
+      expect_routes_equal(repairer.routes(), intact, "after restoring all");
     }
     ++fixture_id;
   }
@@ -205,11 +207,14 @@ TEST(RouteRepair, RoutesAreThreadCountInvariant) {
   control::DetourPolicy policy;
   policy.max_stretch = 2.2;
   for (const Fixture& f : {square_fixture(), random_fixture(71)}) {
-    // Pre-draw the batches so every thread count replays the same history.
+    // Pre-draw the factor vectors so every thread count replays the same
+    // history.
     Rng rng(5);
-    std::vector<std::vector<control::LinkDelta>> batches;
+    std::vector<std::vector<double>> batches;
+    std::vector<double> factors(f.plan.links.size(), 1.0);
     for (int step = 0; step < 15; ++step) {
-      batches.push_back(random_batch(rng, f.plan.links.size()));
+      mutate(rng, factors);
+      batches.push_back(factors);
     }
     control::RouteRepairer reference(f.plan, f.demands, policy, f.direct_km(),
                                      1);
@@ -238,9 +243,11 @@ TEST(RouteRepair, NeverAdmitsARouteOverTheStretchBound) {
   policy.max_stretch = 1.5;
   control::RouteRepairer repairer(f.plan, f.demands, policy, f.direct_km());
   Rng rng(9);
+  std::vector<double> factors(f.plan.links.size(), 1.0);
   std::size_t denied_seen = 0;
   for (int step = 0; step < 30; ++step) {
-    (void)repairer.apply(random_batch(rng, f.plan.links.size()));
+    mutate(rng, factors);
+    (void)repairer.apply(factors);
     for (const auto& route : repairer.routes()) {
       if (route.denied) {
         EXPECT_TRUE(route.path.empty());
@@ -257,15 +264,72 @@ TEST(RouteRepair, NeverAdmitsARouteOverTheStretchBound) {
   EXPECT_GT(denied_seen, 0u);
 }
 
+TEST(RouteRepair, ReapplyIsCalmAndChangedLinksCountTheChurn) {
+  const Fixture f = random_fixture(71);
+  std::vector<std::size_t> mw;
+  for (std::size_t i = 0; i < f.plan.links.size(); ++i) {
+    if (f.plan.links[i].is_mw) mw.push_back(i);
+  }
+  ASSERT_GE(mw.size(), 2u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    control::RouteRepairer repairer(f.plan, f.demands, {}, f.direct_km(),
+                                    threads);
+    std::vector<double> factors(f.plan.links.size(), 1.0);
+    const auto expect_calm = [&] {
+      const auto before = repairer.routes();
+      const control::RepairStats stats = repairer.apply(factors);
+      EXPECT_EQ(stats.changed_links, 0u);
+      EXPECT_EQ(stats.touched_sources, 0u);
+      EXPECT_EQ(stats.touched_pairs, 0u);
+      EXPECT_EQ(stats.changed_pairs, 0u);
+      expect_routes_equal(repairer.routes(), before, "re-applied");
+      EXPECT_EQ(repairer.capacity_factors(), factors);
+    };
+    expect_calm();  // the intact state, handed in again
+
+    factors[mw[0]] = 0.0;  // down
+    factors[mw[1]] = 0.5;  // derate
+    EXPECT_EQ(repairer.apply(factors).changed_links, 2u);
+    expect_calm();
+
+    factors[mw[0]] = 0.7;  // restored, but derated
+    EXPECT_EQ(repairer.apply(factors).changed_links, 1u);
+    expect_calm();
+
+    factors[mw[1]] = 0.25;  // derate deepens
+    factors[0] = 0.0;       // a fiber link goes down too
+    EXPECT_EQ(repairer.apply(factors).changed_links, 2u);
+    expect_calm();
+
+    std::fill(factors.begin(), factors.end(), 1.0);  // everything restored
+    EXPECT_EQ(repairer.apply(factors).changed_links, 3u);
+    expect_calm();
+    expect_routes_equal(
+        repairer.routes(),
+        control::RouteRepairer::full_recompute(f.plan, f.demands, {},
+                                               f.direct_km(), factors),
+        "restored");
+  }
+}
+
 TEST(RouteRepair, RejectsBadInput) {
   const Fixture f = square_fixture();
   control::DetourPolicy policy;
   control::RouteRepairer repairer(f.plan, f.demands, policy, f.direct_km());
+  // One factor per plan link, each in [0, 1].
   EXPECT_THROW(
-      (void)repairer.apply({control::LinkDelta{f.plan.links.size(), false}}),
+      (void)repairer.apply(std::vector<double>(f.plan.links.size() + 1, 1.0)),
       cisp::Error);
-  EXPECT_THROW((void)repairer.apply({control::LinkDelta{0, true, 1.5}}),
-               cisp::Error);
+  std::vector<double> over(f.plan.links.size(), 1.0);
+  over[0] = 1.5;
+  EXPECT_THROW((void)repairer.apply(over), cisp::Error);
+  std::vector<double> negative(f.plan.links.size(), 1.0);
+  negative[0] = -0.25;
+  EXPECT_THROW((void)repairer.apply(negative), cisp::Error);
+  // A rejected vector leaves the state untouched.
+  EXPECT_EQ(repairer.capacity_factors(),
+            std::vector<double>(f.plan.links.size(), 1.0));
   policy.candidates = 0;
   EXPECT_THROW(control::RouteRepairer(f.plan, f.demands, policy,
                                       f.direct_km()),
@@ -337,11 +401,9 @@ TEST(RouteRepair, RepairsThePinnedRoutingNonMonotonicity) {
     // Repaired: the control plane masks the same failures on the intact
     // plan (unbounded stretch — the availability-first operating point).
     control::RouteRepairer repairer(f.plan, f.demands, {}, f.direct_km());
-    std::vector<control::LinkDelta> deltas;
-    for (const std::size_t link : outcome.failed_links) {
-      deltas.push_back(control::LinkDelta{link, false});
-    }
-    (void)repairer.apply(deltas);
+    std::vector<double> factors(f.plan.links.size(), 1.0);
+    for (const std::size_t link : outcome.failed_links) factors[link] = 0.0;
+    (void)repairer.apply(factors);
     std::vector<graphs::Path> repaired_paths;
     for (const auto& route : repairer.routes()) {
       repaired_paths.push_back(route.path);
@@ -414,24 +476,6 @@ TEST(WeatherCoupling, FactorsAreDeterministicBoundedAndMwOnly) {
     }
     EXPECT_DOUBLE_EQ(a[2], 1.0);  // fiber never degrades
   }
-}
-
-TEST(WeatherCoupling, DeltasAreMwOnlyAndChangeDriven) {
-  const Fixture f = weather_fixture();
-  std::vector<control::LinkState> state(f.plan.links.size());
-  // Link 0 derates, link 1 goes binary-down, fiber's factor is ignored.
-  const std::vector<double> factors = {0.5, 0.0, 0.25};
-  const auto deltas = control::deltas_from_factors(f.plan, factors, state);
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(deltas[0].link, 0u);
-  EXPECT_TRUE(deltas[0].up);
-  EXPECT_DOUBLE_EQ(deltas[0].capacity_factor, 0.5);
-  EXPECT_EQ(deltas[1].link, 1u);
-  EXPECT_FALSE(deltas[1].up);
-  // Once the state reflects the factors, the same factors emit no churn.
-  state[0] = {true, 0.5};
-  state[1] = {false, 1.0};
-  EXPECT_TRUE(control::deltas_from_factors(f.plan, factors, state).empty());
 }
 
 TEST(WeatherCoupling, LongerPathsFailAtLeastAsOften) {
@@ -537,9 +581,9 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
   EXPECT_NEAR(partial.stats.delivered_bps,
               partial.stats.offered_bps - denied_offered, 1.0);
 
-  std::vector<control::LinkDelta> down;
+  std::vector<double> down(base_plan.links.size(), 1.0);
   for (std::size_t i = 0; i < base_plan.links.size(); ++i) {
-    if (base_plan.links[i].is_mw) down.push_back({i, false});
+    if (base_plan.links[i].is_mw) down[i] = 0.0;
   }
   const auto stats = repairer.apply(down);
   EXPECT_EQ(stats.denied_pairs, demands.pairs().size());
@@ -553,11 +597,7 @@ TEST(ControlSeam, DeniedPairsDeliverZeroAndDeratesScaleCapacity) {
   // A pure derate (all links up, half capacity) keeps every route but
   // doubles utilization at unchanged load.
   control::RouteRepairer derater(base_plan, demands.to_demands(), {}, direct);
-  std::vector<control::LinkDelta> derate;
-  for (std::size_t i = 0; i < base_plan.links.size(); ++i) {
-    derate.push_back({i, true, 0.5});
-  }
-  (void)derater.apply(derate);
+  (void)derater.apply(std::vector<double>(base_plan.links.size(), 0.5));
   const auto derated_routes = derater.route_set();
   const auto derated_factors = derater.capacity_factors();
   options.route_set = &derated_routes;
@@ -681,7 +721,9 @@ TEST(ControlObs, RepairCountersAccumulateWhenEnabled) {
   obs::set_metrics_enabled(true);
   const Fixture f = square_fixture();
   control::RouteRepairer repairer(f.plan, f.demands, {}, f.direct_km());
-  (void)repairer.apply({control::LinkDelta{0, false}});
+  std::vector<double> factors(f.plan.links.size(), 1.0);
+  factors[0] = 0.0;
+  (void)repairer.apply(factors);
   obs::set_metrics_enabled(false);
   EXPECT_GE(obs::counter("control.repair.batches").value(), 1u);
   EXPECT_GE(obs::counter("control.repair.touched_pairs").value(), 1u);

@@ -281,61 +281,6 @@ TEST(Sweep, FirstErrorByTaskIndexWins) {
 // Collectors
 // ---------------------------------------------------------------------------
 
-TEST(Collector, MergeIsOrderIndependent) {
-  // Simulate two completion orders writing the same per-task shards.
-  SamplesCollector forward(10);
-  for (std::size_t t = 0; t < 10; ++t) {
-    forward.add(t, static_cast<double>(t));
-    forward.add(t, static_cast<double>(t) * 0.5);
-  }
-  SamplesCollector reverse(10);
-  for (std::size_t t = 10; t-- > 0;) {
-    reverse.add(t, static_cast<double>(t));
-    reverse.add(t, static_cast<double>(t) * 0.5);
-  }
-  EXPECT_EQ(forward.merged().values(), reverse.merged().values());
-  EXPECT_EQ(forward.merged_sum(), reverse.merged_sum());
-  EXPECT_EQ(forward.total_count(), 20u);
-}
-
-TEST(Collector, ConcurrentSlotWritesMergeDeterministically) {
-  const std::size_t tasks = 64;
-  Grid grid;
-  grid.index_axis("i", tasks).base_seed(3);
-  auto run_once = [&](std::size_t threads) {
-    SamplesCollector collector(tasks);
-    (void)run_sweep(
-        grid,
-        [&](const Point& point) {
-          Rng rng(point.seed());
-          for (int k = 0; k < 100; ++k) {
-            collector.add(point.task_index(), rng.uniform());
-          }
-          return 0;
-        },
-        {.threads = threads});
-    return collector.merged();
-  };
-  EXPECT_EQ(run_once(1).values(), run_once(8).values());
-}
-
-TEST(Collector, SamplesBankMergesPerSeries) {
-  SamplesBank bank(/*num_series=*/3, /*num_tasks=*/4);
-  for (std::size_t series = 0; series < 3; ++series) {
-    for (std::size_t t = 0; t < 4; ++t) {
-      bank.add(series, t, static_cast<double>(series * 10 + t));
-    }
-  }
-  for (std::size_t series = 0; series < 3; ++series) {
-    const auto merged = bank.merged(series);
-    ASSERT_EQ(merged.count(), 4u);
-    EXPECT_EQ(merged.values().front(), static_cast<double>(series * 10));
-    EXPECT_EQ(merged.values().back(), static_cast<double>(series * 10 + 3));
-  }
-  EXPECT_THROW(bank.add(3, 0, 1.0), Error);
-  EXPECT_THROW(bank.merged(3), Error);
-}
-
 TEST(Collector, SlotCollectorFoldsInIndexOrder) {
   SlotCollector<std::vector<int>> collector(3);
   collector.slot(2).push_back(30);

@@ -62,13 +62,13 @@ TEST(DemandMatrix, FromTrafficMatchesHistoricalExpansion) {
   const std::vector<std::vector<double>> traffic = {
       {0, 2, 1}, {2, 0, 1}, {1, 1, 0}};
   const auto matrix = flow::DemandMatrix::from_traffic(traffic, 10.0, 0.1);
-  const auto via_builder = demands_from_traffic(traffic, 10.0, 0.1);
-  ASSERT_EQ(matrix.flow_count(), via_builder.size());
+  const auto demands = matrix.to_demands();
+  ASSERT_EQ(matrix.flow_count(), demands.size());
   double sum = 0.0;
   for (std::size_t f = 0; f < matrix.flow_count(); ++f) {
-    EXPECT_EQ(matrix.pairs()[f].src, via_builder[f].src);
-    EXPECT_EQ(matrix.pairs()[f].dst, via_builder[f].dst);
-    EXPECT_DOUBLE_EQ(matrix.pairs()[f].rate_bps, via_builder[f].rate_bps);
+    EXPECT_EQ(matrix.pairs()[f].src, demands[f].src);
+    EXPECT_EQ(matrix.pairs()[f].dst, demands[f].dst);
+    EXPECT_DOUBLE_EQ(matrix.pairs()[f].rate_bps, demands[f].rate_bps);
     sum += matrix.pairs()[f].rate_bps;
   }
   EXPECT_NEAR(sum, 10.0 * 1e9 * 0.1, 1.0);

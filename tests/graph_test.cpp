@@ -10,7 +10,6 @@
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/ksp.hpp"
-#include "graph/maxflow.hpp"
 #include "graph/mcf.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -221,55 +220,7 @@ TEST(NodeDisjoint, DisconnectedEndpointsReturnEmpty) {
   EXPECT_TRUE(node_disjoint_paths(g, 0, 3, 3).empty());
 }
 
-TEST(MaxFlow, ClassicTextbookInstance) {
-  // CLRS-style example with max flow 23.
-  MaxFlow mf(6);
-  mf.add_arc(0, 1, 16);
-  mf.add_arc(0, 2, 13);
-  mf.add_arc(1, 2, 10);
-  mf.add_arc(2, 1, 4);
-  mf.add_arc(1, 3, 12);
-  mf.add_arc(3, 2, 9);
-  mf.add_arc(2, 4, 14);
-  mf.add_arc(4, 3, 7);
-  mf.add_arc(3, 5, 20);
-  mf.add_arc(4, 5, 4);
-  EXPECT_DOUBLE_EQ(mf.solve(0, 5), 23.0);
-}
-
-TEST(MaxFlow, ParallelDisjointPathsSumCapacity) {
-  MaxFlow mf(5);
-  mf.add_arc(0, 1, 3);
-  mf.add_arc(1, 4, 3);
-  mf.add_arc(0, 2, 5);
-  mf.add_arc(2, 4, 5);
-  mf.add_arc(0, 3, 2);
-  mf.add_arc(3, 4, 1);
-  EXPECT_DOUBLE_EQ(mf.solve(0, 4), 9.0);
-}
-
-TEST(MaxFlow, FlowConservationProperty) {
-  Rng rng(53);
-  MaxFlow mf(12);
-  std::vector<std::tuple<std::size_t, std::uint32_t, std::uint32_t>> arcs;
-  for (int e = 0; e < 60; ++e) {
-    const auto a = static_cast<std::uint32_t>(rng.uniform_index(12));
-    const auto b = static_cast<std::uint32_t>(rng.uniform_index(12));
-    if (a == b) continue;
-    arcs.push_back({mf.add_arc(a, b, rng.uniform(1.0, 8.0)), a, b});
-  }
-  const double total = mf.solve(0, 11);
-  std::vector<double> net(12, 0.0);
-  for (const auto& [arc, a, b] : arcs) {
-    net[a] -= mf.flow_on(arc);
-    net[b] += mf.flow_on(arc);
-  }
-  EXPECT_NEAR(net[0], -total, 1e-9);
-  EXPECT_NEAR(net[11], total, 1e-9);
-  for (std::uint32_t v = 1; v < 11; ++v) EXPECT_NEAR(net[v], 0.0, 1e-9);
-}
-
-TEST(Mcf, SingleCommodityApproachesMaxFlow) {
+TEST(Mcf, SingleCommodityApproachesCutCapacity) {
   // Two disjoint unit-capacity paths: max concurrent flow of a demand of 2
   // has lambda = 1; of a demand of 4, lambda = 0.5.
   Graph g(4);

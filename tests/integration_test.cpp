@@ -54,7 +54,9 @@ TEST(Integration, SimulatedDelaysMatchDesignPredictions) {
   std::vector<infra::PopulationCenter> centers = scenario().centers;
   centers.resize(20);
   const auto traffic = infra::population_product_traffic(centers);
-  const auto demands = net::demands_from_traffic(traffic, 5.0, build.rate_scale);
+  const auto demands =
+      net::flow::DemandMatrix::from_traffic(traffic, 5.0, build.rate_scale)
+          .to_demands();
   net::install_routes(*instance.network, instance.view, demands,
                       net::RoutingScheme::ShortestPath);
   const auto sources =

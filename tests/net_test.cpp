@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/builder.hpp"
+#include "net/flow/demand_matrix.hpp"
 #include "net/link.hpp"
 #include "net/monitors.hpp"
 #include "net/node.hpp"
@@ -340,7 +341,7 @@ TEST(Builder, BuildsMwAndFiberLinks) {
 TEST(Builder, DemandsSumToAggregate) {
   std::vector<std::vector<double>> traffic = {
       {0, 2, 1}, {2, 0, 1}, {1, 1, 0}};
-  const auto demands = demands_from_traffic(traffic, 10.0, 0.1);
+  const auto demands = flow::DemandMatrix::from_traffic(traffic, 10.0, 0.1).to_demands();
   double sum = 0.0;
   for (const auto& d : demands) sum += d.rate_bps;
   EXPECT_NEAR(sum, 10.0 * 1e9 * 0.1, 1.0);
@@ -360,7 +361,7 @@ TEST(Routing, SchemesRouteAllDemandsAndSpReportsMinLatency) {
   SimInstance instance = build_sim(input, plan);
   std::vector<std::vector<double>> traffic(4, std::vector<double>(4, 1.0));
   for (int i = 0; i < 4; ++i) traffic[i][i] = 0.0;
-  const auto demands = demands_from_traffic(traffic, 10.0, 0.1);
+  const auto demands = flow::DemandMatrix::from_traffic(traffic, 10.0, 0.1).to_demands();
 
   const auto sp = install_routes(*instance.network, instance.view, demands,
                                  RoutingScheme::ShortestPath);
@@ -390,7 +391,7 @@ TEST(Routing, EndToEndUdpOverBuiltNetwork) {
   SimInstance instance = build_sim(input, plan);
   std::vector<std::vector<double>> traffic(4, std::vector<double>(4, 1.0));
   for (int i = 0; i < 4; ++i) traffic[i][i] = 0.0;
-  const auto demands = demands_from_traffic(traffic, 5.0, 0.1);
+  const auto demands = flow::DemandMatrix::from_traffic(traffic, 5.0, 0.1).to_demands();
   install_routes(*instance.network, instance.view, demands,
                  RoutingScheme::ShortestPath);
   const auto sources = attach_udp_workload(instance, demands, 0.0, 0.2, 99);

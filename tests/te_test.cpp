@@ -560,7 +560,7 @@ TEST(TeMultipath, SeamRejectsPacketBackend) {
 // Candidate racing
 // ---------------------------------------------------------------------------
 
-TEST(TeRacing, WinnersFollowLinkStateAndDeniedPairsRecoverOnFiber) {
+TEST(TeRacing, WinnersFollowCapacityFactorsAndDeniedPairsRecoverOnFiber) {
   // 0 -MW- 1 with a fiber detour 0-2-1: the canonical race.
   LinkPlan plan;
   plan.node_count = 3;
@@ -595,8 +595,8 @@ TEST(TeRacing, WinnersFollowLinkStateAndDeniedPairsRecoverOnFiber) {
   routes[1].latency_s = mw_path.length;
   routes[2].denied = true;   // stretch-bound denial: races fiber alone
 
-  std::vector<control::LinkState> healthy(plan.links.size());
-  const control::RacingReport all_up = racer.race_serial(routes, healthy);
+  const std::vector<double> healthy(plan.links.size(), 1.0);
+  const control::RacingReport all_up = racer.race(routes, healthy);
   EXPECT_EQ(all_up.outcomes[0].winner, control::RaceWinner::Microwave);
   EXPECT_EQ(all_up.outcomes[0].mw_attempts, 1u);
   EXPECT_EQ(all_up.outcomes[0].decision_s, 2.0 * mw_path.length);
@@ -606,9 +606,9 @@ TEST(TeRacing, WinnersFollowLinkStateAndDeniedPairsRecoverOnFiber) {
             (std::vector<graphs::NodeId>{0, 2, 1}));
   EXPECT_EQ(all_up.recovered_pairs, 1u);
 
-  std::vector<control::LinkState> mw_down(plan.links.size());
-  mw_down[0] = {false, 1.0};
-  const control::RacingReport down = racer.race_serial(routes, mw_down);
+  std::vector<double> mw_down(plan.links.size(), 1.0);
+  mw_down[0] = 0.0;
+  const control::RacingReport down = racer.race(routes, mw_down);
   // Every MW handshake fails; fiber's staggered attempt wins.
   EXPECT_EQ(down.outcomes[0].winner, control::RaceWinner::Fiber);
   EXPECT_EQ(down.outcomes[0].mw_attempts, control::RacingOptions{}.max_attempts);
@@ -621,17 +621,18 @@ TEST(TeRacing, ShardedRaceIsByteIdenticalToTheSerialOracle) {
   const std::vector<TrafficDemand> demands = f.base.to_demands();
   control::RouteRepairer repairer(f.plan, demands, {}, f.direct_km());
   // Degrade a few MW links so the attempt loops actually draw.
-  std::vector<control::LinkDelta> deltas;
-  deltas.push_back({f.mw_links[0], false, 1.0});
-  deltas.push_back({f.mw_links[1], true, 0.4});
-  deltas.push_back({f.mw_links[2], true, 0.7});
-  repairer.apply(deltas);
+  std::vector<double> factors(f.plan.links.size(), 1.0);
+  factors[f.mw_links[0]] = 0.0;
+  factors[f.mw_links[1]] = 0.4;
+  factors[f.mw_links[2]] = 0.7;
+  repairer.apply(factors);
 
+  // The oracle is race() at threads = 1: one serial loop.
   control::RacingOptions options;
   options.seed = 77;
   const control::CandidateRacer serial_racer(f.plan, demands, options);
   const control::RacingReport oracle =
-      serial_racer.race_serial(repairer.routes(), repairer.link_state());
+      serial_racer.race(repairer.routes(), repairer.capacity_factors());
   EXPECT_GT(oracle.mw_winners + oracle.fiber_winners, 0u);
 
   for (const std::size_t threads :
@@ -640,7 +641,7 @@ TEST(TeRacing, ShardedRaceIsByteIdenticalToTheSerialOracle) {
     options.threads = threads;
     const control::CandidateRacer racer(f.plan, demands, options);
     const control::RacingReport report =
-        racer.race(repairer.routes(), repairer.link_state());
+        racer.race(repairer.routes(), repairer.capacity_factors());
     ASSERT_EQ(report.outcomes.size(), oracle.outcomes.size());
     for (std::size_t p = 0; p < report.outcomes.size(); ++p) {
       EXPECT_EQ(report.outcomes[p].winner, oracle.outcomes[p].winner);

@@ -250,6 +250,48 @@ TEST(Timeline, RainSourceMatchesItsFactorSchedule) {
 }
 
 // ---------------------------------------------------------------------------
+// Only MW entries of a schedule take effect: fiber never degrades
+// ---------------------------------------------------------------------------
+
+TEST(Timeline, FiberScheduleEntriesTakeNoEffect) {
+  const Fixture f = make_fixture(71);
+  const auto schedule = make_schedule(f, 16);
+  // Link 0 is the first fiber chain link: derate it in one epoch (a calm
+  // one, so any effect would show as churn) and down it in another.
+  ASSERT_FALSE(f.plan.links[0].is_mw);
+  auto fiber_touched = schedule;
+  fiber_touched[3][0] = 0.3;
+  fiber_touched[5][0] = 0.0;
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    timeline::TimelineOptions options;
+    options.epochs = 16;
+    options.diurnal = make_diurnal(f);
+    options.policy.max_stretch = 2.2;
+    options.threads = threads;
+    timeline::TimelineOptions touched = options;
+    options.factor_schedule = &schedule;
+    touched.factor_schedule = &fiber_touched;
+    timeline::TimelineDriver clean(f.plan, {}, f.base, f.direct_km(),
+                                   options);
+    timeline::TimelineDriver fiber(f.plan, {}, f.base, f.direct_km(),
+                                   touched);
+    for (std::size_t e = 0; e < options.epochs; ++e) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " epoch " +
+                   std::to_string(e));
+      const timeline::EpochStats a = clean.step();
+      const timeline::EpochStats b = fiber.step();
+      EXPECT_EQ(a.epoch, b.epoch);
+      expect_epochs_equal(a, b);
+      EXPECT_EQ(a.link_deltas, b.link_deltas);
+      EXPECT_EQ(a.touched_pairs, b.touched_pairs);
+      EXPECT_EQ(a.changed_pairs, b.changed_pairs);
+      expect_epochs_equal(clean.evaluate_cold(e), fiber.evaluate_cold(e));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Alpha-fair warm start: same answer within the convergence tolerance
 // ---------------------------------------------------------------------------
 
@@ -351,8 +393,8 @@ TEST(Timeline, MatchesIndependentCellsThroughTheTrafficModelSeam) {
   options.factor_schedule = &schedule;
   timeline::TimelineDriver driver(link_plan, {}, base, direct, options);
 
-  // The independent cell, scenario_diurnal-style: a fresh repairer walked
-  // to the epoch's absolute link state, a fresh diurnal demand copy, and a
+  // The independent cell, scenario_diurnal-style: a fresh repairer handed
+  // the epoch's factors, a fresh diurnal demand copy, and a
   // FluidTrafficModel run with route + derate overrides.
   const auto model = make_traffic_model(TrafficBackend::Flow, input, plan);
   for (std::size_t e = 0; e < options.epochs; ++e) {
@@ -361,10 +403,9 @@ TEST(Timeline, MatchesIndependentCellsThroughTheTrafficModelSeam) {
 
     control::RouteRepairer cell(link_plan, base.to_demands(),
                                 options.policy, direct);
-    (void)cell.apply(control::deltas_from_factors(link_plan, schedule[e],
-                                                  cell.link_state()));
+    (void)cell.apply(schedule[e]);
     const auto routes = cell.route_set();
-    const auto factors = cell.capacity_factors();
+    const auto& factors = cell.capacity_factors();
 
     const double hour = static_cast<double>(e);
     const double growth = 1.0 + options.annual_growth * (hour / 8760.0);
@@ -412,7 +453,9 @@ TEST(Timeline, WarmStateRebuildsOnPathChangeAndReusesOnRepeat) {
     return paths;
   };
   const auto paths_a = current_paths();
-  (void)repairer.apply({{f.mw_links.front(), false}});
+  std::vector<double> factors(f.plan.links.size(), 1.0);
+  factors[f.mw_links.front()] = 0.0;
+  (void)repairer.apply(factors);
   const auto paths_b = current_paths();
   bool rerouted = false;
   ASSERT_EQ(paths_a.size(), paths_b.size());
