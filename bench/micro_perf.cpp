@@ -534,14 +534,23 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
                             .max_utilization;
     (void)u;
   });
-  // One full happy-eyeballs draw over every pair against the repairer's
-  // current factors (fiber fallbacks precomputed at construction).
-  const net::control::CandidateRacer te_racer(repair_plan, repair_demands,
-                                              {});
+  // One full happy-eyeballs draw over every pair, on a repairer of its
+  // own applied once to one fixed disturbed draw — the first with three
+  // MW links off nominal — so the raced state never depends on how far
+  // another kernel's timing loop got (fiber fallbacks precomputed at
+  // construction).
+  net::control::RouteRepairer race_repairer(repair_plan, repair_demands, {},
+                                            repair_direct);
+  const auto race_draw = std::find_if(
+      draws.begin(), draws.end(), [](const std::vector<double>& factors) {
+        return std::count_if(factors.begin(), factors.end(),
+                             [](double f) { return f < 1.0; }) == 3;
+      });
+  CISP_REQUIRE(race_draw != draws.end(), "no draw disturbs three links");
+  race_repairer.apply(*race_draw);
+  const net::control::CandidateRacer te_racer(race_repairer);
   add("te_racing_draw", [&] {
-    volatile std::size_t mw =
-        te_racer.race(repairer.routes(), repairer.capacity_factors())
-            .mw_winners;
+    volatile std::size_t mw = te_racer.race().mw_winners;
     (void)mw;
   });
 

@@ -138,10 +138,8 @@ engine::ResultSet run(const engine::ExperimentContext& ctx) {
             net::control::RouteRepairer repairer(base_plan, demand_list,
                                                  policy, direct_km);
             repairer.apply(factors);
-            const net::control::CandidateRacer racer(base_plan, demand_list,
-                                                     {});
             const net::control::RacingReport race =
-                racer.race(repairer.routes(), factors);
+                net::control::CandidateRacer(repairer).race();
             cell.denied = race.failed_pairs;
             cell.recovered = race.recovered_pairs;
             const auto routes = race.route_set();

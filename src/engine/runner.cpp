@@ -130,7 +130,7 @@ void usage(std::ostream& err) {
          "\n"
          "perf flags:\n"
          "  --out FILE      where to write the fresh BENCH json\n"
-         "                  (default BENCH_PR9.json)\n"
+         "                  (default BENCH_current.json)\n"
          "  --against FILE  baseline BENCH json to compare against;\n"
          "                  exit 1 when any kernel regresses > threshold\n"
          "  --current FILE  compare FILE instead of running the suite\n"
@@ -213,7 +213,7 @@ int cmd_perf(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   RunnerOptions options = RunnerOptions::from_env();
   options.use_cache = false;  // measuring: a cache hit would time nothing
-  std::string out_path = "BENCH_PR9.json";
+  std::string out_path = "BENCH_current.json";
   std::string against_path;
   std::string current_path;
   double threshold = 0.10;

@@ -55,6 +55,19 @@ Path extract_path(const Graph& graph, const ShortestPathTree& tree,
   return path;
 }
 
+Path extract_pinned_path(const Graph& graph, const ShortestPathTree& tree,
+                         NodeId target) {
+  Path path = extract_path(graph, tree, target);
+  if (path.empty()) return path;
+  path.edges.reserve(path.nodes.size() - 1);
+  for (NodeId node = target; node != tree.source;
+       node = graph.edge(tree.parent_edge[node]).from) {
+    path.edges.push_back(tree.parent_edge[node]);
+  }
+  std::reverse(path.edges.begin(), path.edges.end());
+  return path;
+}
+
 Path shortest_path(const Graph& graph, NodeId source, NodeId target,
                    const EdgeMask& mask) {
   return extract_path(graph, dijkstra(graph, source, mask, target), target);

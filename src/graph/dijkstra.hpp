@@ -35,6 +35,14 @@ using EdgeMask = std::function<bool(EdgeId)>;
 [[nodiscard]] Path extract_path(const Graph& graph,
                                 const ShortestPathTree& tree, NodeId target);
 
+/// extract_path with the tree's parent arcs pinned in `edges`: the path
+/// follows the exact arcs the search relaxed, so a cheaper parallel arc the
+/// search masked (a downed MW hop beside the fiber it used) is never
+/// substituted. Empty if unreachable.
+[[nodiscard]] Path extract_pinned_path(const Graph& graph,
+                                       const ShortestPathTree& tree,
+                                       NodeId target);
+
 /// Convenience: shortest path between two nodes (empty if disconnected).
 [[nodiscard]] Path shortest_path(const Graph& graph, NodeId source,
                                  NodeId target, const EdgeMask& mask = nullptr);

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "engine/executor.hpp"
-#include "util/error.hpp"
+#include "graph/dijkstra.hpp"
 #include "util/rng.hpp"
 
 namespace cisp::net::control {
@@ -12,28 +11,6 @@ namespace cisp::net::control {
 namespace {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
-
-/// extract_path with the tree's arcs pinned — the fiber fallback must
-/// stay on fiber even where a parallel MW arc is cheaper, so min-weight
-/// hop resolution is not an option.
-graphs::Path extract_pinned(const graphs::Graph& graph,
-                            const graphs::ShortestPathTree& tree,
-                            graphs::NodeId target) {
-  graphs::Path path;
-  if (!tree.reached(target)) return path;
-  path.length = tree.dist[target];
-  graphs::NodeId node = target;
-  path.nodes.push_back(node);
-  while (node != tree.source) {
-    const graphs::EdgeId eid = tree.parent_edge[node];
-    path.edges.push_back(eid);
-    node = graph.edge(eid).from;
-    path.nodes.push_back(node);
-  }
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
-}
 
 void tally(RacingReport& report) {
   for (const RaceOutcome& out : report.outcomes) {
@@ -72,31 +49,26 @@ MultipathRouteSet RacingReport::route_set() const {
   return set;
 }
 
-CandidateRacer::CandidateRacer(const LinkPlan& plan,
-                               std::vector<TrafficDemand> demands,
-                               RacingOptions options)
-    : plan_(&plan),
-      topo_(view_from_plan(plan)),
-      demands_(std::move(demands)),
-      options_(options) {
-  CISP_REQUIRE(options_.stagger_s >= 0.0 && options_.retry_s >= 0.0,
-               "racing timers must be non-negative");
-  CISP_REQUIRE(options_.max_attempts >= 1,
-               "racing needs at least one attempt per candidate");
-  edge_is_mw_.assign(topo_.view.latency_graph.edge_count(), 0);
-  for (const std::size_t eid : topo_.mw_edges) edge_is_mw_[eid] = 1;
+CandidateRacer::CandidateRacer(const RouteRepairer& repairer)
+    : repairer_(&repairer) {
+  const SimTopologyView& view = repairer.view();
+  const graphs::Graph& graph = view.latency_graph;
+  const std::vector<TrafficDemand>& demands = repairer.demands();
+  edge_is_mw_.resize(graph.edge_count());
+  for (std::size_t eid = 0; eid < edge_is_mw_.size(); ++eid) {
+    edge_is_mw_[eid] = repairer.plan().links[view.edge_to_link[eid] / 2].is_mw;
+  }
 
   // Fiber fallbacks: one masked Dijkstra per distinct source, arcs
-  // pinned from the tree.
+  // pinned from the tree — the fallback must stay on fiber even where a
+  // parallel MW arc is cheaper.
   const graphs::EdgeMask fiber_only = [this](graphs::EdgeId eid) {
     return edge_is_mw_[eid] == 0;
   };
-  fiber_paths_.resize(demands_.size());
-  fiber_latency_s_.assign(demands_.size(), 0.0);
   std::vector<graphs::NodeId> sources;
-  std::vector<std::size_t> tree_of(demands_.size(), 0);
-  for (std::size_t f = 0; f < demands_.size(); ++f) {
-    const graphs::NodeId src = demands_[f].src;
+  std::vector<std::size_t> tree_of(demands.size(), 0);
+  for (std::size_t f = 0; f < demands.size(); ++f) {
+    const graphs::NodeId src = demands[f].src;
     const auto it = std::find(sources.begin(), sources.end(), src);
     if (it == sources.end()) {
       tree_of[f] = sources.size();
@@ -107,59 +79,54 @@ CandidateRacer::CandidateRacer(const LinkPlan& plan,
   }
   std::vector<graphs::ShortestPathTree> trees(sources.size());
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    trees[s] = graphs::dijkstra(topo_.view.latency_graph, sources[s],
-                                fiber_only);
+    trees[s] = graphs::dijkstra(graph, sources[s], fiber_only);
   }
-  for (std::size_t f = 0; f < demands_.size(); ++f) {
-    fiber_paths_[f] = extract_pinned(topo_.view.latency_graph,
-                                     trees[tree_of[f]], demands_[f].dst);
-    fiber_latency_s_[f] = fiber_paths_[f].length;
+  fiber_paths_.reserve(demands.size());
+  for (std::size_t f = 0; f < demands.size(); ++f) {
+    fiber_paths_.push_back(graphs::extract_pinned_path(
+        graph, trees[tree_of[f]], demands[f].dst));
   }
 }
 
-RaceOutcome CandidateRacer::race_pair(std::size_t pair,
-                                      const std::vector<PairRoute>& routes,
-                                      const std::vector<double>& factors)
-    const {
+RaceOutcome CandidateRacer::race_pair(std::size_t pair) const {
   RaceOutcome out;
-  const PairRoute& mw = routes[pair];
+  const PairRoute& mw = repairer_->routes()[pair];
   const bool has_mw = !mw.denied && !mw.path.empty();
 
   // MW handshake success probability: the worst capacity factor along
   // the route's MW hops (the weakest link delivers — or drops — the
   // handshake). Fiber hops of a mixed route never fail.
   double mw_success = 1.0;
-  double mw_latency_s = 0.0;
   if (has_mw) {
-    mw_latency_s = mw.latency_s;
+    const SimTopologyView& view = repairer_->view();
+    const std::vector<double>& factors = repairer_->capacity_factors();
     for (const graphs::EdgeId eid :
-         net::path_edges(topo_.view.latency_graph, mw.path)) {
+         net::path_edges(view.latency_graph, mw.path)) {
       if (!edge_is_mw_[eid]) continue;
-      mw_success =
-          std::min(factors[topo_.view.edge_to_link[eid] / 2], mw_success);
+      mw_success = std::min(factors[view.edge_to_link[eid] / 2], mw_success);
     }
   }
 
   // One Rng per pair: outcomes never depend on which shard raced the
   // pair, and only the MW candidate consumes draws.
-  Rng rng(hash_combine(options_.seed, pair));
+  Rng rng(hash_combine(0, pair));
   double mw_done_s = kNever;
   if (has_mw) {
-    for (std::size_t attempt = 0; attempt < options_.max_attempts;
-         ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < kRaceMaxAttempts; ++attempt) {
       ++out.mw_attempts;
       if (rng.chance(mw_success)) {
-        mw_done_s = static_cast<double>(attempt) * options_.retry_s +
-                    2.0 * mw_latency_s;
+        mw_done_s =
+            static_cast<double>(attempt) * kRaceRetryS + 2.0 * mw.latency_s;
         break;
       }
     }
   }
+  const graphs::Path& fiber = fiber_paths_[pair];
   double fiber_done_s = kNever;
-  if (!fiber_paths_[pair].empty()) {
+  if (!fiber.empty()) {
     // Fiber never degrades: its first (staggered) attempt completes.
     out.fiber_attempts = 1;
-    fiber_done_s = options_.stagger_s + 2.0 * fiber_latency_s_[pair];
+    fiber_done_s = kRaceStaggerS + 2.0 * fiber.length;
   }
 
   if (mw_done_s <= fiber_done_s && mw_done_s < kNever) {
@@ -168,32 +135,20 @@ RaceOutcome CandidateRacer::race_pair(std::size_t pair,
     out.decision_s = mw_done_s;
   } else if (fiber_done_s < kNever) {
     out.winner = RaceWinner::Fiber;
-    out.path = fiber_paths_[pair];
+    out.path = fiber;
     out.decision_s = fiber_done_s;
   }
   return out;
 }
 
-RacingReport CandidateRacer::race(const std::vector<PairRoute>& routes,
-                                  const std::vector<double>& factors) const {
-  CISP_REQUIRE(routes.size() == demands_.size(),
-               "racing needs one repaired route per demand");
-  check_capacity_factors(factors, plan_->links.size());
+RacingReport CandidateRacer::race() const {
+  const std::vector<PairRoute>& routes = repairer_->routes();
   RacingReport report;
-  report.outcomes.resize(demands_.size());
-  const auto race_one = [&](std::size_t f) {
-    report.outcomes[f] = race_pair(f, routes, factors);
-  };
-  const std::size_t workers = options_.threads == 0
-                                  ? engine::default_thread_count()
-                                  : options_.threads;
-  if (workers > 1 && demands_.size() > 1) {
-    engine::Executor executor(workers);
-    engine::parallel_for(executor, demands_.size(), race_one);
-  } else {
-    for (std::size_t f = 0; f < demands_.size(); ++f) race_one(f);
-  }
-  for (std::size_t f = 0; f < demands_.size(); ++f) {
+  report.outcomes.resize(routes.size());
+  repairer_->parallel_for(routes.size(), [&](std::size_t f) {
+    report.outcomes[f] = race_pair(f);
+  });
+  for (std::size_t f = 0; f < routes.size(); ++f) {
     if ((routes[f].denied || routes[f].path.empty()) &&
         report.outcomes[f].winner == RaceWinner::Fiber) {
       ++report.recovered_pairs;

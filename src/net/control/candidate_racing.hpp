@@ -19,13 +19,14 @@
 // pair; ties prefer MW. A pair whose repaired route was DENIED races
 // fiber alone — racing therefore recovers availability the stretch-bound
 // denial gave up, at fiber latency. If every attempt of both candidates
-// fails (a fully severed MW route and no fiber path — impossible on
-// plans with the fiber connectivity chain), the pair stays denied.
+// fails (a derated MW route dropping every handshake and no fiber path —
+// impossible on plans with the fiber connectivity chain), the pair stays
+// denied. Down links never reach the race: the repairer masks them.
 //
 // Determinism contract (pinned in te_test): each pair draws from its own
-// Rng seeded hash_combine(seed, pair index), so outcomes are independent
-// of sharding — race() with any thread count is byte-identical to race()
-// at threads = 1, one serial loop. Healthy pairs consume exactly one
+// Rng seeded hash_combine(0, pair index), so outcomes are independent of
+// sharding — race() bound to a repairer at any thread count is
+// byte-identical to race() at threads = 1, one serial loop. Healthy pairs consume exactly one
 // always-success draw, so a degraded pair never perturbs its neighbors.
 
 #include <cstddef>
@@ -37,19 +38,13 @@
 
 namespace cisp::net::control {
 
-struct RacingOptions {
-  /// Head start of the MW candidate: fiber's first attempt launches this
-  /// much later (s). 0 races them simultaneously.
-  double stagger_s = 0.005;
-  /// Retry timer after a failed handshake attempt (s).
-  double retry_s = 0.05;
-  /// Handshake attempts per candidate before it abandons the race.
-  std::size_t max_attempts = 3;
-  std::uint64_t seed = 0;
-  /// 1 = serial, 0 = all cores; outcomes are byte-identical for every
-  /// value.
-  std::size_t threads = 1;
-};
+/// Head start of the MW candidate: fiber's first attempt launches this
+/// much later (s).
+inline constexpr double kRaceStaggerS = 0.005;
+/// Retry timer after a failed handshake attempt (s).
+inline constexpr double kRaceRetryS = 0.05;
+/// Handshake attempts per candidate before it abandons the race.
+inline constexpr std::uint32_t kRaceMaxAttempts = 3;
 
 enum class RaceWinner : std::uint8_t { Microwave, Fiber, None };
 
@@ -81,43 +76,30 @@ struct RacingReport {
   [[nodiscard]] MultipathRouteSet route_set() const;
 };
 
-/// Races candidates for a fixed demand set over one plan. Construction
-/// precomputes the per-pair fiber fallback paths (one Dijkstra per
-/// distinct source over the fiber-only subgraph); race() is then cheap
-/// enough to run per failure draw. `plan` must outlive the racer.
+/// Races the candidates of a RouteRepairer's demand pairs. The racer
+/// reads everything from the repairer it is bound to — its view, demands,
+/// current routes and capacity factors — and keeps only the fiber
+/// fallbacks, precomputed at construction (one Dijkstra per distinct
+/// source over the fiber-only subgraph; the repairer's graph never
+/// changes, so they stay valid across every `apply`). race() is then
+/// cheap enough to run per failure draw. `repairer` must outlive the
+/// racer.
 class CandidateRacer {
  public:
-  CandidateRacer(const LinkPlan& plan, std::vector<TrafficDemand> demands,
-                 RacingOptions options);
+  explicit CandidateRacer(const RouteRepairer& repairer);
 
-  /// Races every pair: `routes` are the repaired per-pair routes
-  /// (RouteRepairer::routes()) and `factors` the per-link capacity factors
-  /// (RouteRepairer::capacity_factors()) the MW attempt probabilities read.
-  [[nodiscard]] RacingReport race(const std::vector<PairRoute>& routes,
-                                  const std::vector<double>& factors) const;
-
-  /// The intact-plan view candidate paths index into (shared layout with
-  /// RouteRepairer::view() for the same plan).
-  [[nodiscard]] const SimTopologyView& view() const { return topo_.view; }
-  /// Per-pair fiber fallback paths (may be empty on fiber-less plans).
-  [[nodiscard]] const std::vector<graphs::Path>& fiber_paths() const {
-    return fiber_paths_;
-  }
+  /// Races every pair of the repairer's current routes at its current
+  /// capacity factors, sharded like the repairer (byte-identical at every
+  /// thread count).
+  [[nodiscard]] RacingReport race() const;
 
  private:
-  [[nodiscard]] RaceOutcome race_pair(std::size_t pair,
-                                      const std::vector<PairRoute>& routes,
-                                      const std::vector<double>& factors)
-      const;
+  [[nodiscard]] RaceOutcome race_pair(std::size_t pair) const;
 
-  const LinkPlan* plan_;
-  TopologyView topo_;
-  std::vector<TrafficDemand> demands_;
-  RacingOptions options_;
+  const RouteRepairer* repairer_;
   /// Per graph edge: the plan link it realizes is MW.
   std::vector<char> edge_is_mw_;
   std::vector<graphs::Path> fiber_paths_;   ///< per demand, pinned
-  std::vector<double> fiber_latency_s_;     ///< per demand (0 if no path)
 };
 
 }  // namespace cisp::net::control

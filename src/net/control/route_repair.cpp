@@ -27,23 +27,6 @@ graphs::EdgeMask make_mask(const std::vector<double>& factors) {
   };
 }
 
-/// Path extraction that also pins the tree's parent arcs — extract_path
-/// alone leaves `edges` empty, and min-weight hop resolution would happily
-/// pick a DOWNED MW arc parallel to the fiber arc the tree actually used.
-graphs::Path extract_pinned(const graphs::Graph& graph,
-                            const graphs::ShortestPathTree& tree,
-                            graphs::NodeId target) {
-  graphs::Path path = graphs::extract_path(graph, tree, target);
-  if (path.empty()) return path;
-  path.edges.reserve(path.nodes.size() - 1);
-  for (graphs::NodeId node = target; node != tree.source;
-       node = graph.edge(tree.parent_edge[node]).from) {
-    path.edges.push_back(tree.parent_edge[node]);
-  }
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
-}
-
 /// Resolves each hop of a node path to its minimum-weight UP arc (ties to
 /// the lowest edge id). The Yen candidates come back without pinned edges;
 /// every hop has an up arc by construction (the search ran under the mask).
@@ -101,7 +84,7 @@ PairRoute evaluate_pair(const SimTopologyView& view,
                         const flow::DirectKmFn& direct_km, bool* on_baseline) {
   const graphs::EdgeMask mask = make_mask(factors);
   const graphs::Path tree_path =
-      extract_pinned(view.latency_graph, tree, demand.dst);
+      graphs::extract_pinned_path(view.latency_graph, tree, demand.dst);
   const double direct_s =
       direct_km(demand.src, demand.dst) / geo::kSpeedOfLightKmPerS;
   const auto stretch_of = [&](double latency_s) {
@@ -215,7 +198,8 @@ std::size_t rebalance_congested(const SimTopologyView& view,
              capacity[eid] - load[eid] >= rate;
     };
     const auto tree = graphs::dijkstra(graph, demands[p].src, feasible);
-    graphs::Path candidate = extract_pinned(graph, tree, demands[p].dst);
+    graphs::Path candidate =
+        graphs::extract_pinned_path(graph, tree, demands[p].dst);
     if (!candidate.empty()) {
       const double latency_s = pinned_latency_s(view, candidate);
       const double direct_s = direct_km(demands[p].src, demands[p].dst) /
@@ -248,12 +232,11 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
       topo_(view_from_plan(plan)),
       demands_(std::move(demands)),
       policy_(policy),
-      direct_km_(std::move(direct_km)),
-      threads_(threads) {
+      direct_km_(std::move(direct_km)) {
   CISP_REQUIRE(direct_km_ != nullptr, "RouteRepairer needs a direct_km fn");
   CISP_REQUIRE(policy_.candidates >= 1, "detour candidates must be >= 1");
-  if (threads_ != 1) {
-    executor_ = std::make_unique<engine::Executor>(threads_);
+  if (threads != 1) {
+    executor_ = std::make_unique<engine::Executor>(threads);
   }
   nominal_bps_ = topo_.view.capacity_bps;
   factors_.assign(plan.links.size(), 1.0);
@@ -272,18 +255,13 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
 
   trees_.resize(sources_.size());
   const graphs::EdgeMask mask = make_mask(factors_);
-  const auto build_tree = [&](std::size_t s) {
+  parallel_for(sources_.size(), [&](std::size_t s) {
     trees_[s] = graphs::dijkstra(topo_.view.latency_graph, sources_[s], mask);
-  };
-  if (executor_) {
-    engine::parallel_for(*executor_, sources_.size(), build_tree);
-  } else {
-    for (std::size_t s = 0; s < sources_.size(); ++s) build_tree(s);
-  }
+  });
 
   baseline_paths_.reserve(demands_.size());
   for (std::size_t p = 0; p < demands_.size(); ++p) {
-    graphs::Path baseline = extract_pinned(
+    graphs::Path baseline = graphs::extract_pinned_path(
         topo_.view.latency_graph, trees_[source_slot_[p]], demands_[p].dst);
     CISP_REQUIRE(!baseline.empty(), "demand unroutable on the intact plan");
     baseline_paths_.push_back(std::move(baseline));
@@ -299,18 +277,22 @@ RouteRepairer::RouteRepairer(const LinkPlan& plan,
 }
 
 void RouteRepairer::evaluate_pairs(const std::vector<std::size_t>& dirty) {
-  const auto evaluate = [&](std::size_t i) {
+  parallel_for(dirty.size(), [&](std::size_t i) {
     const std::size_t p = dirty[i];
     bool on_baseline = false;
     routes_[p] = evaluate_pair(topo_.view, trees_[source_slot_[p]],
                                demands_[p], baseline_paths_[p], policy_,
                                factors_, direct_km_, &on_baseline);
     on_baseline_[p] = on_baseline ? 1 : 0;
-  };
+  });
+}
+
+void RouteRepairer::parallel_for(
+    std::size_t n, const std::function<void(std::size_t)>& fn) const {
   if (executor_) {
-    engine::parallel_for(*executor_, dirty.size(), evaluate);
+    engine::parallel_for(*executor_, n, fn);
   } else {
-    for (std::size_t i = 0; i < dirty.size(); ++i) evaluate(i);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
   }
 }
 
@@ -382,15 +364,10 @@ RepairStats RouteRepairer::apply(const std::vector<double>& factors) {
   }
 
   const graphs::EdgeMask mask = make_mask(factors_);
-  const auto rebuild = [&](std::size_t i) {
+  parallel_for(affected.size(), [&](std::size_t i) {
     const std::size_t s = affected[i];
     trees_[s] = graphs::dijkstra(graph, sources_[s], mask);
-  };
-  if (executor_) {
-    engine::parallel_for(*executor_, affected.size(), rebuild);
-  } else {
-    for (std::size_t i = 0; i < affected.size(); ++i) rebuild(i);
-  }
+  });
 
   // Dirty = pairs whose tree changed + pairs currently off their baseline
   // path (their route depends on capacities/topology beyond the tree, so
@@ -482,9 +459,9 @@ std::vector<PairRoute> RouteRepairer::full_recompute(
   baselines.reserve(demands.size());
   routes.reserve(demands.size());
   for (std::size_t p = 0; p < demands.size(); ++p) {
-    graphs::Path baseline =
-        extract_pinned(topo.view.latency_graph, baseline_trees[source_slot[p]],
-                       demands[p].dst);
+    graphs::Path baseline = graphs::extract_pinned_path(
+        topo.view.latency_graph, baseline_trees[source_slot[p]],
+        demands[p].dst);
     CISP_REQUIRE(!baseline.empty(), "demand unroutable on the intact plan");
     bool on_baseline = false;
     routes.push_back(evaluate_pair(topo.view, degraded_trees[source_slot[p]],

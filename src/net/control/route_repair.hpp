@@ -51,8 +51,16 @@
 // path stay put and are rationed by the allocator. The pass is a pure
 // function of the post-repair routes, so incremental/oracle equivalence
 // is preserved.
+//
+// The repairer is the control stack's one copy of the plan's state: its
+// intact-plan view (current capacities), nominal capacities, demand list,
+// factors and routes. CandidateRacer races on it, and TimelineDriver
+// allocates on its view — in multipath-TE mode the repairer supplies the
+// view, nominal capacities and demands the split solve reads, while its
+// routes go unused.
 
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -112,6 +120,7 @@ class RouteRepairer {
   /// anything changes.
   RepairStats apply(const std::vector<double>& factors);
 
+  [[nodiscard]] const LinkPlan& plan() const { return *plan_; }
   [[nodiscard]] const std::vector<PairRoute>& routes() const {
     return routes_;
   }
@@ -125,6 +134,20 @@ class RouteRepairer {
   /// removed, so pair paths index into this graph. Its capacities are the
   /// current ones (nominal x factor).
   [[nodiscard]] const SimTopologyView& view() const { return topo_.view; }
+  /// The view's intact capacities, per view edge.
+  [[nodiscard]] const std::vector<double>& nominal_capacity_bps() const {
+    return nominal_bps_;
+  }
+  /// The demand list routes are planned for, in route order.
+  [[nodiscard]] const std::vector<TrafficDemand>& demands() const {
+    return demands_;
+  }
+
+  /// Runs fn(i) for every i in [0, n) on the repairer's workers (serially
+  /// at threads 1). The repairer's own sharding; CandidateRacer::race
+  /// borrows it.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& fn) const;
 
   /// Per-demand weight-1 route sets for TrafficRunOptions::route_set
   /// (empty set = denied).
@@ -146,7 +169,6 @@ class RouteRepairer {
   std::vector<TrafficDemand> demands_;
   DetourPolicy policy_;
   flow::DirectKmFn direct_km_;
-  std::size_t threads_;
   std::unique_ptr<engine::Executor> executor_;
 
   std::vector<double> nominal_bps_;  ///< per view edge, intact capacities

@@ -15,6 +15,11 @@ namespace cisp::net::te {
 
 namespace {
 
+/// Successive node-disjoint paths gathered per pair.
+constexpr std::size_t kDisjointPaths = 2;
+/// Garg-Könemann accuracy of the MCF sub-solve.
+constexpr double kMcfEpsilon = 0.25;
+
 std::uint64_t mix_double(std::uint64_t h, double v) {
   return hash_combine(h, std::bit_cast<std::uint64_t>(v));
 }
@@ -123,11 +128,8 @@ std::uint64_t candidate_key(const SimTopologyView& view,
     h = mix_double(h, d.rate_bps);
   }
   h = hash_combine(h, options.k_shortest);
-  h = hash_combine(h, options.disjoint);
   h = mix_double(h, options.max_stretch);
-  h = hash_combine(h, options.mcf_candidates ? 1u : 0u);
   h = hash_combine(h, options.mcf_pairs);
-  h = mix_double(h, options.mcf_epsilon);
   return h;
 }
 
@@ -138,9 +140,6 @@ CandidateSet generate_candidates(const SimTopologyView& view,
                                  std::size_t threads) {
   CISP_REQUIRE(options.k_shortest >= 1,
                "candidate gathering needs k_shortest >= 1");
-  CISP_REQUIRE(!options.mcf_candidates ||
-                   (options.mcf_epsilon > 0.0 && options.mcf_epsilon <= 0.5),
-               "mcf_epsilon must be in (0, 0.5]");
   CandidateSet set;
   set.key = candidate_key(view, demands, options);
   set.pairs.resize(demands.size());
@@ -155,11 +154,9 @@ CandidateSet generate_candidates(const SimTopologyView& view,
              view.latency_graph, d.src, d.dst, options.k_shortest)) {
       pin_variants(view, raw, direct_s, pool);
     }
-    if (options.disjoint > 1) {
-      for (const graphs::Path& raw : graphs::node_disjoint_paths(
-               view.latency_graph, d.src, d.dst, options.disjoint)) {
-        pin_variants(view, raw, direct_s, pool);
-      }
+    for (const graphs::Path& raw : graphs::node_disjoint_paths(
+             view.latency_graph, d.src, d.dst, kDisjointPaths)) {
+      pin_variants(view, raw, direct_s, pool);
     }
     CISP_REQUIRE(!pool.empty(), "demand pair is not routable");
     set.pairs[f] = finalize_pool(std::move(pool), options.max_stretch);
@@ -176,7 +173,7 @@ CandidateSet generate_candidates(const SimTopologyView& view,
   // MCF stage: one global solve over the heaviest pairs, serial (its
   // result feeds per-pair pools, but the solve itself is a single
   // deterministic computation — thread count never touches it).
-  if (options.mcf_candidates && options.mcf_pairs > 0 && !demands.empty()) {
+  if (options.mcf_pairs > 0 && !demands.empty()) {
     std::vector<std::size_t> order(demands.size());
     for (std::size_t f = 0; f < order.size(); ++f) order[f] = f;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -214,7 +211,7 @@ CandidateSet generate_candidates(const SimTopologyView& view,
     }
     if (!mcf_demands.empty()) {
       const graphs::McfResult mcf = graphs::max_concurrent_flow(
-          cap_graph, mcf_demands, options.mcf_epsilon);
+          cap_graph, mcf_demands, kMcfEpsilon);
       set.mcf_lambda = mcf.lambda;
       for (std::size_t k = 0; k < chosen.size(); ++k) {
         const graphs::Path& raw = mcf.primary_path[k];

@@ -9,7 +9,7 @@
 // Three generators feed one pool per ordered demand pair:
 //   * Yen's k shortest loopless paths (graph/ksp) — the latency-ordered
 //     spine of the pool.
-//   * successive node-disjoint shortest paths — fig04b's design-side
+//   * two successive node-disjoint shortest paths — fig04b's design-side
 //     disjointness, reused so the traffic side can actually SPLIT across
 //     the tower-disjoint alternatives the design paid for.
 //   * MCF primary paths (graph/mcf) for the heaviest pairs — max
@@ -43,20 +43,15 @@ namespace cisp::net::te {
 struct CandidateOptions {
   /// Yen k-shortest paths gathered per pair.
   std::size_t k_shortest = 4;
-  /// Successive node-disjoint paths gathered per pair.
-  std::size_t disjoint = 2;
   /// Admission bound: candidates with stretch above this are dropped
   /// (the pair's shortest path is exempt, so pairs never become
   /// unroutable here).
   double max_stretch = std::numeric_limits<double>::infinity();
-  /// Fold in MCF primary paths for the heaviest pairs. Max concurrent
-  /// flow reads the gather capacities, so these are the only
-  /// capacity-aware proposals in the pool.
-  bool mcf_candidates = true;
-  /// Heaviest-by-rate pairs routed through the MCF (ties: pair index).
+  /// Heaviest-by-rate pairs routed through the MCF (ties: pair index);
+  /// 0 = no MCF proposals. Max concurrent flow reads the gather
+  /// capacities, so these are the only capacity-aware proposals in the
+  /// pool.
   std::size_t mcf_pairs = 64;
-  /// Garg-Könemann accuracy knob, in (0, 0.5].
-  double mcf_epsilon = 0.25;
 };
 
 /// Candidate pool of one ordered demand pair. Paths are graph-edge-pinned
@@ -74,8 +69,8 @@ struct CandidateSet {
   /// gather capacities, demand endpoints + rates, options) — the warm
   /// reuse guard in split.hpp.
   std::uint64_t key = 0;
-  /// Concurrent-throughput factor of the MCF sub-solve (0 when disabled
-  /// or no pair qualified).
+  /// Concurrent-throughput factor of the MCF sub-solve (0 when mcf_pairs
+  /// is 0 or no pair qualified).
   double mcf_lambda = 0.0;
 };
 

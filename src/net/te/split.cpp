@@ -12,6 +12,11 @@ namespace cisp::net::te {
 
 namespace {
 
+/// Split weights below this are dropped and the rest renormalized.
+constexpr double kMinSplitWeight = 1e-3;
+/// Latency tiebreak coefficient in the objective (utilization units).
+constexpr double kLatencyTiebreak = 1e-6;
+
 std::uint64_t mix_double(std::uint64_t h, double v) {
   return hash_combine(h, std::bit_cast<std::uint64_t>(v));
 }
@@ -135,9 +140,8 @@ SplitResult solve_from_candidates(const SimTopologyView& view,
     const std::size_t f = lp_order[i];
     const double rate_share = demands[f].rate_bps / lp_rate_total;
     for (std::size_t j = 0; j < live[f].size(); ++j) {
-      prog.objective[var_base[i] + j] = options.latency_tiebreak *
-                                        rate_share *
-                                        cands.pairs[f].stretch[live[f][j]];
+      prog.objective[var_base[i] + j] =
+          kLatencyTiebreak * rate_share * cands.pairs[f].stretch[live[f][j]];
     }
   }
   for (std::size_t i = 0; i < lp_order.size(); ++i) {
@@ -196,7 +200,7 @@ SplitResult solve_from_candidates(const SimTopologyView& view,
     }
     const std::size_t i = static_cast<std::size_t>(
         std::find(lp_order.begin(), lp_order.end(), f) - lp_order.begin());
-    // Keep weights above min_weight and renormalize; if rounding drops
+    // Keep weights above kMinSplitWeight and renormalize; if rounding drops
     // everything, the largest raw weight (ties: shortest candidate)
     // carries the pair alone.
     std::vector<double> raw(live[f].size(), 0.0);
@@ -205,14 +209,14 @@ SplitResult solve_from_candidates(const SimTopologyView& view,
     for (std::size_t j = 0; j < live[f].size(); ++j) {
       raw[j] = std::max(0.0, sol.x[var_base[i] + j]);
       if (raw[j] > raw[arg_max]) arg_max = j;
-      if (raw[j] >= options.min_weight) kept_sum += raw[j];
+      if (raw[j] >= kMinSplitWeight) kept_sum += raw[j];
     }
     std::vector<WeightedPath>& routes = out.routes.pair_paths[f];
     if (kept_sum <= 0.0) {
       routes = {{cands.pairs[f].paths[live[f][arg_max]], 1.0}};
     } else {
       for (std::size_t j = 0; j < live[f].size(); ++j) {
-        if (raw[j] < options.min_weight) continue;
+        if (raw[j] < kMinSplitWeight) continue;
         routes.push_back(
             {cands.pairs[f].paths[live[f][j]], raw[j] / kept_sum});
       }
@@ -233,8 +237,6 @@ SplitResult solve_splits(const SimTopologyView& view,
                          const SplitOptions& options) {
   const obs::TraceSpan span("te.split", "te", "pairs",
                             static_cast<double>(demands.size()));
-  CISP_REQUIRE(options.min_weight > 0.0 && options.min_weight < 1.0,
-               "min_weight must be in (0, 1)");
   const SimTopologyView* gather_view = &view;
   SimTopologyView gather_copy;
   if (options.gather_capacity_bps != nullptr) {
@@ -250,8 +252,6 @@ SplitResult solve_splits(const SimTopologyView& view,
   std::uint64_t solve_key = hash_combine(cand_key, 0x73706c69u);
   for (const double c : view.capacity_bps) solve_key = mix_double(solve_key, c);
   solve_key = hash_combine(solve_key, options.max_lp_pairs);
-  solve_key = mix_double(solve_key, options.min_weight);
-  solve_key = mix_double(solve_key, options.latency_tiebreak);
 
   SplitWarmState* warm = options.warm;
   if (warm != nullptr && warm->has_solution && warm->solve_key == solve_key) {

@@ -19,6 +19,8 @@
 // term bg_e. The latency tiebreak is small enough (1e-6 of a utilization
 // unit) to never trade max-utilization away, and makes the optimizer
 // prefer the low-stretch split among the utilization-equal optima.
+// Split weights below 1e-3 are dropped and the rest renormalized —
+// sub-permille slivers are allocator noise, not traffic engineering.
 //
 // Degradation handling: candidates crossing a zero-capacity edge are
 // dropped per solve; a pair whose whole pool is dropped is DENIED (empty
@@ -93,11 +95,6 @@ struct SplitOptions {
   /// live candidate and become background load). Bounds the tableau so
   /// the dense simplex stays in its few-thousand-variable scope.
   std::size_t max_lp_pairs = 256;
-  /// Split weights below this are dropped and the rest renormalized —
-  /// sub-permille slivers are allocator noise, not traffic engineering.
-  double min_weight = 1e-3;
-  /// Latency tiebreak coefficient in the objective (utilization units).
-  double latency_tiebreak = 1e-6;
   /// Candidate gathering only (the LP is serial): 1 = serial, 0 = all
   /// cores; results are byte-identical for every value.
   std::size_t threads = 1;

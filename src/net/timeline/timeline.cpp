@@ -34,8 +34,7 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
       // churn routes — only link-state churn does. The allocator runs on
       // the epoch rates.
       repairer_(plan, base_.to_demands(), options_.policy, direct_km_,
-                options_.threads),
-      topo_(view_from_plan(plan)) {
+                options_.threads) {
   CISP_REQUIRE(options_.backend != TrafficBackend::Packet,
                "the timeline driver is fluid-only (Flow or Elastic)");
   CISP_REQUIRE(options_.epochs >= 1, "timeline needs at least one epoch");
@@ -68,10 +67,6 @@ TimelineDriver::TimelineDriver(const LinkPlan& plan,
     CISP_REQUIRE(pair.rate_bps > 0.0,
                  "timeline base demands must be strictly positive");
   }
-  nominal_capacity_bps_ = topo_.view.capacity_bps;
-  // The TE solve reads base (planning-time) rates for the same reason
-  // the repairer does: diurnal swings must never churn the splits.
-  base_demands_ = base_.to_demands();
   available_epochs_.assign(base_.flow_count(), 0);
 }
 
@@ -184,7 +179,10 @@ te::SplitResult TimelineDriver::solve_epoch_splits(
   // stable across degraded epochs (and identical for the cold oracle's
   // fresh view), so link churn only re-runs the split solve.
   split.gather_capacity_bps = &nominal_capacity;
-  return te::solve_splits(view, base_demands_, direct_km_, split);
+  // Base (planning-time) rates, the repairer's demand list, for the same
+  // reason the repairer plans on them: diurnal swings must never churn
+  // the splits.
+  return te::solve_splits(view, repairer_.demands(), direct_km_, split);
 }
 
 EpochStats TimelineDriver::step() {
@@ -194,26 +192,26 @@ EpochStats TimelineDriver::step() {
   const double hour = epoch_hour(e);
   const double growth = epoch_growth(hour);
 
-  // The repairer finds the churn since the previous epoch itself and
-  // repairs only what it affects.
-  const std::vector<double> factors = epoch_link_factors(e);
-  const control::RepairStats repair = repairer_.apply(factors);
+  // The repairer finds the churn since the previous epoch itself,
+  // repairs only what it affects and rewrites its view's capacities in
+  // place on the stable graph — the view every epoch allocates on.
+  const control::RepairStats repair = repairer_.apply(epoch_link_factors(e));
+  const SimTopologyView& view = repairer_.view();
 
-  // In-place demand rewrite (no user re-apportionment) and in-place
-  // capacity rewrite on the stable graph.
+  // In-place demand rewrite (no user re-apportionment).
   scenario::apply_diurnal_in_place(base_, options_.diurnal, hour, growth,
                                    current_);
-  apply_capacity_factors(topo_.view, nominal_capacity_bps_, factors);
 
   // TE mode: the epoch's split weights re-solve against the degraded
   // capacities (warm caches skip work that hasn't changed); the repairer's
   // routes are unused.
   MultipathRouteSet routes =
       options_.multipath_te
-          ? solve_epoch_splits(topo_.view, nominal_capacity_bps_, &te_warm_)
+          ? solve_epoch_splits(view, repairer_.nominal_capacity_bps(),
+                               &te_warm_)
                 .routes
           : repairer_.route_set();
-  EpochStats row = evaluate(topo_.view, std::move(routes), current_, e, hour,
+  EpochStats row = evaluate(view, std::move(routes), current_, e, hour,
                             growth, &warm_, last_outcomes_);
   row.link_deltas = repair.changed_links;
   row.touched_pairs = repair.touched_pairs;

@@ -8,7 +8,11 @@
 //   * routes    — control::RouteRepairer takes each epoch's per-link
 //                 capacity factors and repairs only what the CHURN since
 //                 the previous epoch affects; the graph is built once for
-//                 the whole timeline.
+//                 the whole timeline. The repairer's view (nominal x
+//                 factor after every apply) is the one view warm epochs
+//                 allocate on, and in multipath-TE mode it also supplies
+//                 the nominal capacities and base-rate demands the split
+//                 solve reads.
 //   * demands   — the base DemandMatrix is apportioned once; each epoch
 //                 rewrites pair rates in place (diurnal activity × demand
 //                 growth), never re-apportioning users.
@@ -78,8 +82,9 @@ struct TimelineOptions {
   /// BASE demand rates (like the repairer's routes), so diurnal swings
   /// never churn the solve — only link-state changes do — and candidate
   /// pools are gathered once against nominal capacities and carried
-  /// through the driver's te::SplitWarmState. The repairer still runs
-  /// (its churn fills EpochStats); its routes are unused in this mode.
+  /// through the driver's te::SplitWarmState. The repairer still runs:
+  /// its churn fills EpochStats and its view, nominal capacities and
+  /// demand list feed the solve; only its routes are unused in this mode.
   bool multipath_te = false;
   /// TE knobs for multipath_te. `threads`, `warm` and
   /// `gather_capacity_bps` are driver-owned and ignored here.
@@ -155,8 +160,8 @@ class TimelineDriver {
                  TimelineOptions options);
 
   /// Advances one epoch and returns its stats. Warm path: the epoch's
-  /// factors into the repairer, in-place demand and capacity rewrite,
-  /// warm-started allocation.
+  /// factors into the repairer (which rewrites its view's capacities in
+  /// place), in-place demand rewrite, warm-started allocation.
   EpochStats step();
 
   /// Steps until options.epochs epochs have run; returns all new rows.
@@ -202,8 +207,8 @@ class TimelineDriver {
                       flow::WarmState* warm,
                       std::vector<flow::PairOutcome>& outcomes) const;
   /// The epoch's TE split solve (multipath_te mode): current capacities
-  /// from `view`, base-rate demands, candidates gathered against
-  /// `nominal_capacity`; `warm` may be nullptr (cold oracle).
+  /// from `view`, the repairer's base-rate demands, candidates gathered
+  /// against `nominal_capacity`; `warm` may be nullptr (cold oracle).
   [[nodiscard]] te::SplitResult solve_epoch_splits(
       const SimTopologyView& view,
       const std::vector<double>& nominal_capacity,
@@ -217,16 +222,13 @@ class TimelineDriver {
   flow::DirectKmFn direct_km_;
   TimelineOptions options_;
 
+  /// The carried control-plane state: routes, factors, the intact-plan
+  /// view (stable graph, current capacities) every warm epoch allocates
+  /// on, its nominal capacities and the base-rate demand list.
   control::RouteRepairer repairer_;
-  /// Intact-plan view (stable graph) + its nominal capacities; each epoch
-  /// writes view.capacity_bps = nominal * factor in place.
-  TopologyView topo_;
-  std::vector<double> nominal_capacity_bps_;
   flow::WarmState warm_;
   /// Multipath-TE carry: candidate pools + last split solution.
   te::SplitWarmState te_warm_;
-  /// Base-rate demand list the TE solve reads (stable across epochs).
-  std::vector<TrafficDemand> base_demands_;
 
   std::size_t epoch_ = 0;
   std::vector<flow::PairOutcome> last_outcomes_;

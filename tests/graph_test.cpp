@@ -72,6 +72,27 @@ TEST(Dijkstra, UnreachableGivesEmptyPath) {
   EXPECT_TRUE(extract_path(g, tree, 2).empty());
 }
 
+TEST(Dijkstra, PinnedPathFollowsTheTreeNotACheaperMaskedParallelArc) {
+  // 0 -> 1 -> 2 with a cheap and a dear arc side by side on each hop; the
+  // cheap ones (ids 0 and 2) are masked, as a downed MW hop beside fiber.
+  Graph g(3);
+  g.add_edge(0, 1, 1.0);  // 0: masked
+  g.add_edge(0, 1, 5.0);  // 1
+  g.add_edge(1, 2, 1.0);  // 2: masked
+  g.add_edge(1, 2, 7.0);  // 3
+  const auto mask = [](EdgeId e) { return e == 1 || e == 3; };
+  const auto tree = dijkstra(g, 0, mask);
+  const Path p = extract_pinned_path(g, tree, 2);
+  EXPECT_EQ(p.nodes, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(p.edges, (std::vector<EdgeId>{1, 3}));
+  EXPECT_DOUBLE_EQ(p.length, 12.0);
+  // The unmasked search pins the cheap arcs; unreached targets stay empty.
+  EXPECT_EQ(extract_pinned_path(g, dijkstra(g, 0), 2).edges,
+            (std::vector<EdgeId>{0, 2}));
+  EXPECT_TRUE(extract_pinned_path(g, dijkstra(g, 1), 0).empty());
+  EXPECT_TRUE(extract_pinned_path(g, tree, 0).edges.empty());
+}
+
 TEST(Dijkstra, MatchesBellmanFordProperty) {
   Rng rng(41);
   for (int trial = 0; trial < 20; ++trial) {

@@ -4,11 +4,13 @@
 // timeline's multipath_te mode. The determinism contracts pinned here:
 // candidate sets and split weights are byte-identical at every thread
 // count, warm solves replay cold solves exactly, race() at any sharding
-// equals the serial oracle, and a multipath_te timeline step is
+// equals the serial oracle, a racer follows the repairer it is bound to,
+// and a multipath_te timeline step is
 // byte-identical to its independent-cell cold evaluation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -560,8 +562,28 @@ TEST(TeMultipath, SeamRejectsPacketBackend) {
 // Candidate racing
 // ---------------------------------------------------------------------------
 
+void expect_reports_equal(const control::RacingReport& a,
+                          const control::RacingReport& b) {
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t p = 0; p < a.outcomes.size(); ++p) {
+    SCOPED_TRACE("pair " + std::to_string(p));
+    EXPECT_EQ(a.outcomes[p].winner, b.outcomes[p].winner);
+    EXPECT_EQ(a.outcomes[p].path.nodes, b.outcomes[p].path.nodes);
+    EXPECT_EQ(a.outcomes[p].path.edges, b.outcomes[p].path.edges);
+    EXPECT_EQ(a.outcomes[p].decision_s, b.outcomes[p].decision_s);
+    EXPECT_EQ(a.outcomes[p].mw_attempts, b.outcomes[p].mw_attempts);
+    EXPECT_EQ(a.outcomes[p].fiber_attempts, b.outcomes[p].fiber_attempts);
+  }
+  EXPECT_EQ(a.mw_winners, b.mw_winners);
+  EXPECT_EQ(a.fiber_winners, b.fiber_winners);
+  EXPECT_EQ(a.failed_pairs, b.failed_pairs);
+  EXPECT_EQ(a.recovered_pairs, b.recovered_pairs);
+}
+
 TEST(TeRacing, WinnersFollowCapacityFactorsAndDeniedPairsRecoverOnFiber) {
-  // 0 -MW- 1 with a fiber detour 0-2-1: the canonical race.
+  // 0 -MW- 1 with a fiber detour 0-2-1: the canonical race. The detour's
+  // stretch (~2.3) is over the 2.0 bound, so a downed MW link denies the
+  // pairs instead of detouring them.
   LinkPlan plan;
   plan.node_count = 3;
   std::vector<std::array<double, 2>> xy{{0.0, 0.0}, {1000.0, 0.0},
@@ -572,86 +594,141 @@ TEST(TeRacing, WinnersFollowCapacityFactorsAndDeniedPairsRecoverOnFiber) {
   add_link(plan, 0, 1, 10.0, km(0, 1), true);         // link 0: MW
   add_link(plan, 0, 2, 400.0, km(0, 2), false, 1.8);  // link 1: fiber
   add_link(plan, 2, 1, 400.0, km(2, 1), false, 1.8);  // link 2: fiber
-  const std::vector<TrafficDemand> demands = {{0, 1, 1e9}, {0, 1, 1e9},
-                                              {0, 1, 1e9}};
-  const control::CandidateRacer racer(plan, demands, {});
+  // Tiny rates: even a heavily derated MW hop stays uncongested, so the
+  // repairer keeps the pairs on it.
+  const std::vector<TrafficDemand> demands = {{0, 1, 1e3}, {0, 1, 1e3},
+                                              {0, 1, 1e3}};
+  const flow::DirectKmFn direct_km = [&](std::uint32_t a, std::uint32_t b) {
+    return km(a, b);
+  };
+  control::DetourPolicy policy;
+  policy.max_stretch = 2.0;
+  control::RouteRepairer repairer(plan, demands, policy, direct_km);
+  const control::CandidateRacer racer(repairer);
+  const double mw_latency_s = plan.links[0].latency_s;
+  const double fiber_latency_s =
+      plan.links[1].latency_s + plan.links[2].latency_s;
 
-  // The MW route all three pairs would use, pinned on the racer's view.
-  graphs::Path mw_path;
-  mw_path.nodes = {0, 1};
-  for (const graphs::EdgeId eid : racer.view().latency_graph.out_edges(0)) {
-    const auto& edge = racer.view().latency_graph.edge(eid);
-    if (edge.to == 1 && racer.view().edge_to_link[eid] / 2 == 0) {
-      mw_path.edges = {eid};
-      mw_path.length = edge.weight;
-    }
+  const control::RacingReport all_up = racer.race();
+  for (const control::RaceOutcome& out : all_up.outcomes) {
+    EXPECT_EQ(out.winner, control::RaceWinner::Microwave);
+    EXPECT_EQ(out.mw_attempts, 1u);
+    EXPECT_EQ(out.decision_s, 2.0 * mw_latency_s);
+    EXPECT_EQ(out.path.nodes, (std::vector<graphs::NodeId>{0, 1}));
   }
-  ASSERT_EQ(mw_path.edges.size(), 1u);
+  EXPECT_EQ(all_up.recovered_pairs, 0u);
 
-  std::vector<control::PairRoute> routes(3);
-  routes[0].path = mw_path;  // healthy MW
-  routes[0].latency_s = mw_path.length;
-  routes[1].path = mw_path;  // same route, but the link will be DOWN
-  routes[1].latency_s = mw_path.length;
-  routes[2].denied = true;   // stretch-bound denial: races fiber alone
+  // MW down: the repairer denies every pair (the detour is over the
+  // bound), and each recovers on fiber, racing it alone.
+  repairer.apply({0.0, 1.0, 1.0});
+  ASSERT_TRUE(repairer.routes()[0].denied);
+  const control::RacingReport down = racer.race();
+  for (const control::RaceOutcome& out : down.outcomes) {
+    EXPECT_EQ(out.winner, control::RaceWinner::Fiber);
+    EXPECT_EQ(out.mw_attempts, 0u);
+    EXPECT_EQ(out.path.nodes, (std::vector<graphs::NodeId>{0, 2, 1}));
+    EXPECT_EQ(out.decision_s,
+              control::kRaceStaggerS + 2.0 * fiber_latency_s);
+  }
+  EXPECT_EQ(down.recovered_pairs, 3u);
 
-  const std::vector<double> healthy(plan.links.size(), 1.0);
-  const control::RacingReport all_up = racer.race(routes, healthy);
-  EXPECT_EQ(all_up.outcomes[0].winner, control::RaceWinner::Microwave);
-  EXPECT_EQ(all_up.outcomes[0].mw_attempts, 1u);
-  EXPECT_EQ(all_up.outcomes[0].decision_s, 2.0 * mw_path.length);
-  // The denied pair recovers on the fiber detour.
-  EXPECT_EQ(all_up.outcomes[2].winner, control::RaceWinner::Fiber);
-  EXPECT_EQ(all_up.outcomes[2].path.nodes,
-            (std::vector<graphs::NodeId>{0, 2, 1}));
-  EXPECT_EQ(all_up.recovered_pairs, 1u);
-
-  std::vector<double> mw_down(plan.links.size(), 1.0);
-  mw_down[0] = 0.0;
-  const control::RacingReport down = racer.race(routes, mw_down);
-  // Every MW handshake fails; fiber's staggered attempt wins.
-  EXPECT_EQ(down.outcomes[0].winner, control::RaceWinner::Fiber);
-  EXPECT_EQ(down.outcomes[0].mw_attempts, control::RacingOptions{}.max_attempts);
-  EXPECT_EQ(down.outcomes[1].winner, control::RaceWinner::Fiber);
-  EXPECT_EQ(down.fiber_winners, 3u);
+  // MW derated to a sliver: the route stays on MW, but every handshake
+  // attempt is dropped; fiber's staggered attempt wins, and nothing was
+  // denied, so nothing counts as recovered.
+  repairer.apply({1e-6, 1.0, 1.0});
+  ASSERT_FALSE(repairer.routes()[0].denied);
+  ASSERT_EQ(repairer.routes()[0].path.nodes,
+            (std::vector<graphs::NodeId>{0, 1}));
+  const control::RacingReport derated = racer.race();
+  for (const control::RaceOutcome& out : derated.outcomes) {
+    EXPECT_EQ(out.winner, control::RaceWinner::Fiber);
+    EXPECT_EQ(out.mw_attempts, control::kRaceMaxAttempts);
+    EXPECT_EQ(out.fiber_attempts, 1u);
+  }
+  EXPECT_EQ(derated.fiber_winners, 3u);
+  EXPECT_EQ(derated.recovered_pairs, 0u);
 }
 
 TEST(TeRacing, ShardedRaceIsByteIdenticalToTheSerialOracle) {
   const Fixture f = make_fixture(109);
   const std::vector<TrafficDemand> demands = f.base.to_demands();
-  control::RouteRepairer repairer(f.plan, demands, {}, f.direct_km());
   // Degrade a few MW links so the attempt loops actually draw.
   std::vector<double> factors(f.plan.links.size(), 1.0);
   factors[f.mw_links[0]] = 0.0;
   factors[f.mw_links[1]] = 0.4;
   factors[f.mw_links[2]] = 0.7;
-  repairer.apply(factors);
 
   // The oracle is race() at threads = 1: one serial loop.
-  control::RacingOptions options;
-  options.seed = 77;
-  const control::CandidateRacer serial_racer(f.plan, demands, options);
-  const control::RacingReport oracle =
-      serial_racer.race(repairer.routes(), repairer.capacity_factors());
+  control::RouteRepairer serial(f.plan, demands, {}, f.direct_km());
+  serial.apply(factors);
+  const control::RacingReport oracle = control::CandidateRacer(serial).race();
   EXPECT_GT(oracle.mw_winners + oracle.fiber_winners, 0u);
 
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    options.threads = threads;
-    const control::CandidateRacer racer(f.plan, demands, options);
-    const control::RacingReport report =
-        racer.race(repairer.routes(), repairer.capacity_factors());
-    ASSERT_EQ(report.outcomes.size(), oracle.outcomes.size());
-    for (std::size_t p = 0; p < report.outcomes.size(); ++p) {
-      EXPECT_EQ(report.outcomes[p].winner, oracle.outcomes[p].winner);
-      EXPECT_EQ(report.outcomes[p].path.nodes, oracle.outcomes[p].path.nodes);
-      EXPECT_EQ(report.outcomes[p].decision_s, oracle.outcomes[p].decision_s);
-      EXPECT_EQ(report.outcomes[p].mw_attempts, oracle.outcomes[p].mw_attempts);
+    control::RouteRepairer repairer(f.plan, demands, {}, f.direct_km(),
+                                    threads);
+    repairer.apply(factors);
+    expect_reports_equal(control::CandidateRacer(repairer).race(), oracle);
+  }
+}
+
+TEST(TeRacing, RacerFollowsTheRepairerItIsBoundTo) {
+  const Fixture f = make_fixture(127);
+  const std::vector<TrafficDemand> demands = f.base.to_demands();
+  // Disturb MW links the intact routes actually use, so both states move
+  // routes as well as handshake odds.
+  std::vector<std::size_t> used;
+  {
+    const control::RouteRepairer intact(f.plan, demands, {}, f.direct_km());
+    for (const control::PairRoute& route : intact.routes()) {
+      for (const graphs::EdgeId eid : route.path.edges) {
+        const std::size_t link = intact.view().edge_to_link[eid] / 2;
+        if (f.plan.links[link].is_mw &&
+            std::find(used.begin(), used.end(), link) == used.end()) {
+          used.push_back(link);
+        }
+      }
     }
-    EXPECT_EQ(report.mw_winners, oracle.mw_winners);
-    EXPECT_EQ(report.fiber_winners, oracle.fiber_winners);
-    EXPECT_EQ(report.recovered_pairs, oracle.recovered_pairs);
+  }
+  ASSERT_GE(used.size(), 3u);
+  std::vector<double> a(f.plan.links.size(), 1.0);
+  a[used[0]] = 0.0;
+  a[used[1]] = 0.4;
+  std::vector<double> b(f.plan.links.size(), 1.0);
+  b[used[0]] = 0.5;
+  b[used[1]] = 0.0;
+  b[used[2]] = 0.3;
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Bound before any apply: the racer reads the repairer's state at
+    // race() time, not at construction.
+    control::RouteRepairer repairer(f.plan, demands, {}, f.direct_km(),
+                                    threads);
+    const control::CandidateRacer racer(repairer);
+    repairer.apply(a);
+    const control::RacingReport after_a = racer.race();
+    repairer.apply(b);
+    const control::RacingReport after_b = racer.race();
+
+    control::RouteRepairer fresh(f.plan, demands, {}, f.direct_km(),
+                                 threads);
+    fresh.apply(b);
+    expect_reports_equal(after_b, control::CandidateRacer(fresh).race());
+
+    // The two states race differently, so following B is not vacuous.
+    bool differs = false;
+    for (std::size_t p = 0; p < after_a.outcomes.size(); ++p) {
+      differs = differs ||
+                after_a.outcomes[p].winner != after_b.outcomes[p].winner ||
+                after_a.outcomes[p].mw_attempts !=
+                    after_b.outcomes[p].mw_attempts ||
+                after_a.outcomes[p].path.edges !=
+                    after_b.outcomes[p].path.edges;
+    }
+    EXPECT_TRUE(differs);
   }
 }
 
