@@ -297,9 +297,9 @@ void RouteRepairer::parallel_for(
 }
 
 RepairStats RouteRepairer::apply(const std::vector<double>& factors) {
-  // Checks `factors` before anything changes (a calm vector rewrites the
-  // same capacities).
-  apply_capacity_factors(topo_.view, nominal_bps_, factors);
+  // Checks `factors` before anything changes; the view keeps nominal x
+  // factors_, so only a vector that changes a link rewrites capacities.
+  check_capacity_factors(factors, factors_.size());
   std::vector<std::size_t> downed;
   std::vector<std::size_t> restored;
   std::size_t changed_links = 0;
@@ -327,6 +327,7 @@ RepairStats RouteRepairer::apply(const std::vector<double>& factors) {
     obs::counter("control.repair.batches").add(1);
     return stats;
   }
+  apply_capacity_factors(topo_.view, nominal_bps_, factors);
   factors_ = factors;
 
   // A tree is affected by a downed link iff one of its arcs is a tree edge;

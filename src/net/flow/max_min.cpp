@@ -1,22 +1,14 @@
 #include "net/flow/max_min.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
+#include <limits>
 
-#include "net/flow/shard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace cisp::net::flow {
-
-namespace {
-
-using detail::kInf;
-using detail::sharded_apply;
-using detail::sharded_min;
-
-}  // namespace
 
 namespace detail {
 
@@ -90,11 +82,6 @@ Allocation max_min_allocate(const SimTopologyView& view,
   const std::size_t edges = view.latency_graph.edge_count();
   CISP_REQUIRE(view.capacity_bps.size() == edges, "view arrays inconsistent");
 
-  std::unique_ptr<engine::Executor> pool;
-  if (options.threads != 1 && flows >= options.parallel_cutoff) {
-    pool = std::make_unique<engine::Executor>(options.threads);
-  }
-
   // Per-flow edge sequences and the edge -> flows incidence (freeze
   // lists). With a warm state the build is skipped when the fingerprint
   // matches the previous solve; the fill below runs identically on the
@@ -110,88 +97,105 @@ Allocation max_min_allocate(const SimTopologyView& view,
   out.rate_bps.assign(flows, 0.0);
   out.edge_load_bps.assign(edges, 0.0);
 
-  std::vector<char> active(flows, 1);
+  // Active flows (positive demand) in (demand, index) order: the demand
+  // cursor and the demand-met window below walk this list.
+  std::vector<char> active(flows, 0);
+  std::vector<std::uint32_t> by_demand;
   std::vector<double> cap_rem = view.capacity_bps;
   std::vector<std::size_t> count(edges, 0);
-  std::size_t active_flows = 0;
   for (std::size_t f = 0; f < flows; ++f) {
-    if (demand_bps[f] <= 0.0) {
-      active[f] = 0;
-      continue;
-    }
-    ++active_flows;
+    CISP_REQUIRE(std::isfinite(demand_bps[f]), "demand must be finite");
+    if (demand_bps[f] <= 0.0) continue;
+    active[f] = 1;
+    by_demand.push_back(static_cast<std::uint32_t>(f));
     for (const graphs::EdgeId eid : flow_edges[f]) ++count[eid];
+  }
+  std::sort(by_demand.begin(), by_demand.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return demand_bps[a] != demand_bps[b]
+                         ? demand_bps[a] < demand_bps[b]
+                         : a < b;
+            });
+  std::size_t active_flows = by_demand.size();
+  // Edges some active flow crosses, ascending; compacted after each freeze.
+  std::vector<graphs::EdgeId> live;
+  for (std::size_t e = 0; e < edges; ++e) {
+    if (count[e] > 0) live.push_back(static_cast<graphs::EdgeId>(e));
   }
 
   // Saturation slack: relative to each edge's capacity so Gbps-scale links
   // and unit-test-scale links both converge.
   const auto saturated = [&](std::size_t e) {
-    return count[e] > 0 && cap_rem[e] <= view.capacity_bps[e] * 1e-9;
-  };
-  const auto demand_met = [&](std::size_t f) {
-    return demand_bps[f] - out.rate_bps[f] <= demand_bps[f] * 1e-12;
+    return cap_rem[e] <= view.capacity_bps[e] * 1e-9;
   };
 
+  // Every active flow sits at the water level: all start at 0 and receive
+  // the same `+= h` sequence, so one running sum stands for all of them and
+  // a flow's rate is the level at the round it freezes.
+  double level = 0.0;
+  std::size_t cursor = 0;  // first active entry of by_demand
   std::vector<std::uint32_t> freeze;
-  const std::size_t cutoff = std::max<std::size_t>(1, options.parallel_cutoff);
   while (active_flows > 0) {
     ++out.rounds;
     CISP_REQUIRE(out.rounds <= flows + edges + 1,
                  "progressive filling failed to converge");
 
     // The next event: an edge saturates or a flow reaches its demand.
-    const double h_edge = sharded_min(
-        pool.get(), cutoff, edges, [&](std::size_t e) {
-          return count[e] > 0 ? cap_rem[e] / static_cast<double>(count[e])
-                              : kInf;
-        });
-    const double h_demand = sharded_min(
-        pool.get(), cutoff, flows, [&](std::size_t f) {
-          return active[f] ? demand_bps[f] - out.rate_bps[f] : kInf;
-        });
+    // fl(d - level) is monotone in d, so the lowest active demand gives
+    // the minimum over all active flows.
+    double h_edge = std::numeric_limits<double>::infinity();
+    for (const graphs::EdgeId e : live) {
+      h_edge = std::min(h_edge, cap_rem[e] / static_cast<double>(count[e]));
+    }
+    while (!active[by_demand[cursor]]) ++cursor;
+    const double h_demand = demand_bps[by_demand[cursor]] - level;
     const double h = std::max(0.0, std::min(h_edge, h_demand));
-    CISP_REQUIRE(h < kInf, "active flow with no constraining edge or demand");
 
-    // Raise the water level: per-slot writes, deterministic at any
-    // thread count.
-    sharded_apply(pool.get(), cutoff, flows, [&](std::size_t f) {
-      if (active[f]) out.rate_bps[f] += h;
-    });
-    sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
-      if (count[e] > 0) cap_rem[e] -= h * static_cast<double>(count[e]);
-    });
+    // Raise the water level.
+    level += h;
+    for (const graphs::EdgeId e : live) {
+      cap_rem[e] -= h * static_cast<double>(count[e]);
+    }
 
-    // Freeze bottlenecked flows (edges in index order, then their flows in
-    // incidence order) and demand-capped flows (flow index order). The
-    // mutation of `count` is serial so shared edges decrement exactly once
-    // per frozen flow.
+    // Freeze bottlenecked flows and demand-capped flows. A flow whose
+    // demand exceeds level * (1 + 1e-6) is more than 1e-12 * demand away
+    // from it, so the demand-met test only runs over that window. A flow
+    // listed twice (on two saturated edges, or also demand-met) freezes
+    // once, so shared edges decrement exactly once per frozen flow.
     freeze.clear();
-    for (std::size_t e = 0; e < edges; ++e) {
+    for (const graphs::EdgeId e : live) {
       if (!saturated(e)) continue;
       ++out.bottleneck_edges;
       freeze.insert(freeze.end(), edge_flows[e].begin(), edge_flows[e].end());
     }
-    for (std::size_t f = 0; f < flows; ++f) {
-      if (active[f] && demand_met(f)) {
-        freeze.push_back(static_cast<std::uint32_t>(f));
+    const double window = level * (1.0 + 1e-6);
+    for (std::size_t i = cursor;
+         i < by_demand.size() && demand_bps[by_demand[i]] <= window; ++i) {
+      const std::uint32_t f = by_demand[i];
+      if (active[f] && demand_bps[f] - level <= demand_bps[f] * 1e-12) {
+        freeze.push_back(f);
       }
     }
     CISP_REQUIRE(!freeze.empty(), "round froze no flow");
     for (const std::uint32_t f : freeze) {
       if (!active[f]) continue;
       active[f] = 0;
+      out.rate_bps[f] = level;
       --active_flows;
       for (const graphs::EdgeId eid : flow_edges[f]) --count[eid];
     }
+    live.erase(std::remove_if(live.begin(), live.end(),
+                              [&](graphs::EdgeId e) { return count[e] == 0; }),
+               live.end());
   }
 
   // Edge loads from the final rates: per-edge sums over incidence lists in
-  // list order — independent writes, deterministic.
-  sharded_apply(pool.get(), cutoff, edges, [&](std::size_t e) {
+  // list order.
+  for (std::size_t e = 0; e < edges; ++e) {
     double load = 0.0;
     for (const std::uint32_t f : edge_flows[e]) load += out.rate_bps[f];
     out.edge_load_bps[e] = load;
-  });
+  }
   out.fill_rounds = out.rounds;
   static obs::Counter& round_counter = obs::counter("flow.max_min.rounds");
   round_counter.add(out.rounds);

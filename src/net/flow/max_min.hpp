@@ -7,11 +7,25 @@
 // flow reaches its offered demand, freeze it too (demand-capped max-min).
 // Terminates after at most flows + edges rounds.
 //
-// Determinism contract (mirrors the design solvers): the returned
-// allocation is byte-identical for EVERY thread count. The sharded pieces
-// are exact-min reductions (chunk minima merged serially) and
-// independent per-slot writes — no floating-point accumulation ever
-// depends on chunk boundaries.
+// Water-level form: every unfrozen flow starts at 0 and receives the same
+// `+= h` sequence, so its rate IS the running water level; one level is
+// kept and written into a flow's rate when it freezes. The demand event
+// comes from a cursor over the active flows sorted once by (demand,
+// index) — fl(demand - level) is monotone in demand, so the first active
+// entry holds the minimum — and the demand-met test only scans the
+// window of demands within level * (1 + 1e-6), beyond which no flow can
+// pass it. The edge event, the capacity update and the saturation scan
+// run over an ascending list of live edges (some active flow crosses
+// them), compacted after each freeze. A round thus costs O(live edges +
+// frozen flows) rather than O(flows + edges), with the same float
+// operations in the same order as a full scan: results are bitwise those
+// of the textbook loop.
+//
+// Determinism contract: the allocator runs serially, so the returned
+// allocation is byte-identical for EVERY thread count its callers use.
+// Rounds stay serial because they are short: the largest design measured
+// (the all-center US week, 3782 flows) starts its fill with 552 live
+// edges, too few to pay for sharding a round.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,12 +61,6 @@ struct WarmState {
 };
 
 struct AllocatorOptions {
-  /// Worker threads for the sharded allocation rounds. 1 = fully serial
-  /// (no pool is ever constructed); 0 = engine::default_thread_count().
-  std::size_t threads = 1;
-  /// Below this flow count the rounds run serially even with a pool —
-  /// queue traffic would cost more than it buys.
-  std::size_t parallel_cutoff = 4096;
   /// Optional warm state carried across solves (nullptr = cold start).
   /// Must outlive the call; the allocator updates it in place.
   WarmState* warm = nullptr;
@@ -81,7 +89,7 @@ struct Allocation {
 /// flows over their (pinned) paths against the view's edge capacities.
 /// `paths[f]` must be routable; its edge sequence is taken from
 /// `paths[f].edges` when pinned (compute_routes pins them) and resolved
-/// via path_edges() otherwise.
+/// via path_edges() otherwise. Every demand must be finite.
 [[nodiscard]] Allocation max_min_allocate(
     const SimTopologyView& view, const std::vector<graphs::Path>& paths,
     const std::vector<double>& demand_bps,

@@ -125,7 +125,6 @@ Realization realize_routes(const SimTopologyView& view,
                                      elastic);
   } else {
     AllocatorOptions alloc_options;
-    alloc_options.threads = options.threads;
     alloc_options.warm = options.warm;
     allocation = max_min_allocate(view, expansion.paths, expansion.demand_bps,
                                   alloc_options);

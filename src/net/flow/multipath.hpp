@@ -58,8 +58,8 @@ struct RealizeOptions {
   /// alpha-fair at `alpha` (the Elastic backend).
   bool elastic = false;
   double alpha = 1.0;
-  /// Allocator sharding (1 = serial, 0 = all cores); byte-identical for
-  /// every value.
+  /// Alpha-fair sharding (1 = serial, 0 = all cores); byte-identical for
+  /// every value. The max-min allocator always runs serially.
   std::size_t threads = 1;
   /// Optional allocator state carried across calls (nullptr = cold). Its
   /// incidence cache is fingerprint-guarded, so route churn rebuilds it

@@ -21,11 +21,6 @@ struct Region {
   [[nodiscard]] SyntheticTerrain make_terrain() const {
     return SyntheticTerrain(terrain_params);
   }
-  /// Rasterized terrain ready for profile extraction (the hot path).
-  [[nodiscard]] RasterTerrain make_raster_terrain() const {
-    const SyntheticTerrain synth(terrain_params);
-    return RasterTerrain(synth, box, raster_cell_deg);
-  }
 };
 
 /// Contiguous United States: Rockies, Sierra Nevada, Cascades, Appalachians,

@@ -222,9 +222,9 @@ TEST(AlphaFair, InfiniteAlphaDispatchesToMaxMinExactly) {
 // ---------------------------------------------------------------------------
 
 TEST(AlphaFair, AllocationsAreByteIdenticalAcrossThreadCounts) {
-  // The same random instance as the max-min invariance test; the pool is
-  // forced on via parallel_cutoff = 1 so every sharded piece really runs
-  // sharded at threads > 1.
+  // 600 random flows over a 24-node mesh; the pool is forced on via
+  // parallel_cutoff = 1 so every sharded piece really runs sharded at
+  // threads > 1.
   const std::size_t n = 24;
   SimTopologyView view;
   view.latency_graph = graphs::Graph(n);

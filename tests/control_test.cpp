@@ -330,6 +330,7 @@ TEST(RouteRepair, RejectsBadInput) {
   // A rejected vector leaves the state untouched.
   EXPECT_EQ(repairer.capacity_factors(),
             std::vector<double>(f.plan.links.size(), 1.0));
+  EXPECT_EQ(repairer.view().capacity_bps, repairer.nominal_capacity_bps());
   policy.candidates = 0;
   EXPECT_THROW(control::RouteRepairer(f.plan, f.demands, policy,
                                       f.direct_km()),

@@ -1,13 +1,17 @@
 // Tests for the flow-level traffic backend: DemandMatrix aggregation and
 // user apportionment, max-min fair allocation on hand-computed topologies
-// (single bottleneck, parking lot, demand caps), thread-count invariance
-// of the allocator (byte-identical rates), and the packet-vs-flow
-// fidelity contract on a small instance.
+// (single bottleneck, parking lot, demand caps), bitwise agreement with
+// the full-scan progressive-filling loop on random instances, and the
+// packet-vs-flow fidelity contract on a small instance.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/builder.hpp"
@@ -185,69 +189,227 @@ TEST(MaxMin, ZeroDemandFlowsStayAtZero) {
   EXPECT_NEAR(allocation.rate_bps[1], 5e9, 1.0);
 }
 
-TEST(MaxMin, AllocationsAreByteIdenticalAcrossThreadCounts) {
-  // A larger random instance; the pool is forced on via parallel_cutoff=1
-  // so chunked reductions actually run sharded at threads > 1.
-  const std::size_t n = 24;
-  SimTopologyView view;
-  view.latency_graph = graphs::Graph(n);
-  Rng rng(404);
-  const auto add_duplex = [&](std::size_t a, std::size_t b, double cap) {
-    view.latency_graph.add_edge(static_cast<graphs::NodeId>(a),
-                                static_cast<graphs::NodeId>(b),
-                                rng.uniform(0.001, 0.005));
-    view.edge_to_link.push_back(view.edge_to_link.size());
-    view.capacity_bps.push_back(cap);
-    view.latency_graph.add_edge(static_cast<graphs::NodeId>(b),
-                                static_cast<graphs::NodeId>(a),
-                                rng.uniform(0.001, 0.005));
-    view.edge_to_link.push_back(view.edge_to_link.size());
-    view.capacity_bps.push_back(cap);
+/// The textbook progressive-filling loop the allocator replaced: every
+/// round scans all flows and all edges (rates raised one by one, demand
+/// and saturation tests over the full index range). Kept serial as the
+/// bitwise oracle for the water-level form.
+flow::Allocation reference_max_min(const SimTopologyView& view,
+                                   const std::vector<graphs::Path>& paths,
+                                   const std::vector<double>& demand_bps) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t flows = paths.size();
+  const std::size_t edges = view.latency_graph.edge_count();
+  std::vector<std::vector<graphs::EdgeId>> flow_edges(flows);
+  std::vector<std::vector<std::uint32_t>> edge_flows(edges);
+  for (std::size_t f = 0; f < flows; ++f) {
+    flow_edges[f] = path_edges(view.latency_graph, paths[f]);
+    for (const graphs::EdgeId eid : flow_edges[f]) {
+      edge_flows[eid].push_back(static_cast<std::uint32_t>(f));
+    }
+  }
+
+  flow::Allocation out;
+  out.rate_bps.assign(flows, 0.0);
+  out.edge_load_bps.assign(edges, 0.0);
+  std::vector<char> active(flows, 1);
+  std::vector<double> cap_rem = view.capacity_bps;
+  std::vector<std::size_t> count(edges, 0);
+  std::size_t active_flows = 0;
+  for (std::size_t f = 0; f < flows; ++f) {
+    if (demand_bps[f] <= 0.0) {
+      active[f] = 0;
+      continue;
+    }
+    ++active_flows;
+    for (const graphs::EdgeId eid : flow_edges[f]) ++count[eid];
+  }
+  const auto saturated = [&](std::size_t e) {
+    return count[e] > 0 && cap_rem[e] <= view.capacity_bps[e] * 1e-9;
   };
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    add_duplex(i, i + 1, rng.uniform(1e9, 5e9));
-  }
-  for (int chord = 0; chord < 20; ++chord) {
-    const std::size_t a = rng.uniform_index(n);
-    const std::size_t b = rng.uniform_index(n);
-    if (a != b) add_duplex(a, b, rng.uniform(1e9, 5e9));
-  }
-  std::vector<TrafficDemand> demands;
-  for (int f = 0; f < 600; ++f) {
-    const auto a = static_cast<std::uint32_t>(rng.uniform_index(n));
-    const auto b = static_cast<std::uint32_t>(rng.uniform_index(n));
-    if (a == b) continue;
-    demands.push_back({a, b, rng.uniform(1e7, 5e8)});
-  }
+  const auto demand_met = [&](std::size_t f) {
+    return demand_bps[f] - out.rate_bps[f] <= demand_bps[f] * 1e-12;
+  };
 
-  const RoutingResult routes =
-      compute_routes(view, demands, RoutingScheme::ShortestPath);
-  std::vector<double> rates;
-  for (const auto& d : demands) rates.push_back(d.rate_bps);
+  std::vector<std::uint32_t> freeze;
+  while (active_flows > 0) {
+    ++out.rounds;
+    double h_edge = kInf;
+    for (std::size_t e = 0; e < edges; ++e) {
+      const double share =
+          count[e] > 0 ? cap_rem[e] / static_cast<double>(count[e]) : kInf;
+      h_edge = std::min(h_edge, share);
+    }
+    double h_demand = kInf;
+    for (std::size_t f = 0; f < flows; ++f) {
+      h_demand = std::min(
+          h_demand, active[f] ? demand_bps[f] - out.rate_bps[f] : kInf);
+    }
+    const double h = std::max(0.0, std::min(h_edge, h_demand));
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (active[f]) out.rate_bps[f] += h;
+    }
+    for (std::size_t e = 0; e < edges; ++e) {
+      if (count[e] > 0) cap_rem[e] -= h * static_cast<double>(count[e]);
+    }
+    freeze.clear();
+    for (std::size_t e = 0; e < edges; ++e) {
+      if (!saturated(e)) continue;
+      ++out.bottleneck_edges;
+      freeze.insert(freeze.end(), edge_flows[e].begin(), edge_flows[e].end());
+    }
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (active[f] && demand_met(f)) {
+        freeze.push_back(static_cast<std::uint32_t>(f));
+      }
+    }
+    if (freeze.empty()) throw std::logic_error("round froze no flow");
+    for (const std::uint32_t f : freeze) {
+      if (!active[f]) continue;
+      active[f] = 0;
+      --active_flows;
+      for (const graphs::EdgeId eid : flow_edges[f]) --count[eid];
+    }
+  }
+  for (std::size_t e = 0; e < edges; ++e) {
+    double load = 0.0;
+    for (const std::uint32_t f : edge_flows[e]) load += out.rate_bps[f];
+    out.edge_load_bps[e] = load;
+  }
+  out.fill_rounds = out.rounds;
+  return out;
+}
 
-  flow::AllocatorOptions serial;
-  serial.threads = 1;
-  const auto baseline = flow::max_min_allocate(view, routes.paths, rates,
-                                               serial);
-  EXPECT_GT(baseline.rounds, 1u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                    std::size_t{0}}) {
-    flow::AllocatorOptions options;
-    options.threads = threads;
-    options.parallel_cutoff = 1;
-    const auto parallel =
-        flow::max_min_allocate(view, routes.paths, rates, options);
-    ASSERT_EQ(parallel.rate_bps.size(), baseline.rate_bps.size());
-    EXPECT_EQ(std::memcmp(parallel.rate_bps.data(), baseline.rate_bps.data(),
-                          baseline.rate_bps.size() * sizeof(double)),
-              0)
-        << "rates differ at threads=" << threads;
-    EXPECT_EQ(std::memcmp(parallel.edge_load_bps.data(),
-                          baseline.edge_load_bps.data(),
-                          baseline.edge_load_bps.size() * sizeof(double)),
-              0)
-        << "edge loads differ at threads=" << threads;
-    EXPECT_EQ(parallel.rounds, baseline.rounds);
+void expect_bitwise_equal(const flow::Allocation& got,
+                          const flow::Allocation& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.rate_bps.size(), want.rate_bps.size()) << label;
+  ASSERT_EQ(got.edge_load_bps.size(), want.edge_load_bps.size()) << label;
+  EXPECT_EQ(std::memcmp(got.rate_bps.data(), want.rate_bps.data(),
+                        want.rate_bps.size() * sizeof(double)),
+            0)
+      << "rates differ: " << label;
+  EXPECT_EQ(std::memcmp(got.edge_load_bps.data(), want.edge_load_bps.data(),
+                        want.edge_load_bps.size() * sizeof(double)),
+            0)
+      << "edge loads differ: " << label;
+  EXPECT_EQ(got.rounds, want.rounds) << label;
+  EXPECT_EQ(got.bottleneck_edges, want.bottleneck_edges) << label;
+}
+
+TEST(MaxMin, WaterLevelFillMatchesTheFullScanOracleBitForBit) {
+  // 60 seeded instances over random meshes. Demands mix ties (drawn from
+  // a four-value set with one near-tie), zeros and continuous draws. By
+  // seed mod 4, an instance also zeroes some used edges' capacity, routes
+  // every flow over one shared path, or pins flows' demands to exactly
+  // their fair share (0: none of these).
+  std::size_t tied = 0, zeros = 0, zero_caps = 0, shared = 0, pinned = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 7919);
+    const std::size_t n = 4 + rng.uniform_index(17);
+    SimTopologyView view;
+    view.latency_graph = graphs::Graph(n);
+    const auto add_duplex = [&](std::size_t a, std::size_t b, double cap) {
+      for (const auto& [u, v] : {std::pair{a, b}, std::pair{b, a}}) {
+        view.latency_graph.add_edge(static_cast<graphs::NodeId>(u),
+                                    static_cast<graphs::NodeId>(v),
+                                    rng.uniform(0.001, 0.005));
+        view.edge_to_link.push_back(view.edge_to_link.size());
+        view.capacity_bps.push_back(cap);
+      }
+    };
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      add_duplex(i, i + 1, rng.uniform(1e9, 5e9));
+    }
+    for (std::size_t chord = rng.uniform_index(n); chord > 0; --chord) {
+      const std::size_t a = rng.uniform_index(n);
+      const std::size_t b = rng.uniform_index(n);
+      if (a != b) add_duplex(a, b, rng.uniform(1e9, 5e9));
+    }
+    // 5e8 and its near-twin differ by less than the 1e-12 demand-met
+    // slack, so both freeze in the round the level reaches the first.
+    const double tie_values[] = {2e8, 5e8, 5e8 * (1.0 + 5e-13), 1.25e9};
+    std::vector<TrafficDemand> demands;
+    const std::size_t wanted = 1 + rng.uniform_index(120);
+    while (demands.size() < wanted) {
+      const auto a = static_cast<std::uint32_t>(rng.uniform_index(n));
+      const auto b = static_cast<std::uint32_t>(rng.uniform_index(n));
+      if (a == b) continue;
+      const double u = rng.uniform();
+      const double rate = u < 0.15   ? 0.0
+                          : u < 0.5  ? tie_values[rng.uniform_index(4)]
+                                     : rng.uniform(1e7, 3e9);
+      demands.push_back({a, b, rate});
+    }
+    RoutingResult routes =
+        compute_routes(view, demands, RoutingScheme::ShortestPath);
+    std::vector<double> rates;
+    for (const auto& d : demands) rates.push_back(d.rate_bps);
+
+    switch (seed % 4) {
+      case 1:  // zero-capacity edges on used routes
+        for (const auto& path : routes.paths) {
+          if (rng.chance(0.2)) {
+            const auto eids = path_edges(view.latency_graph, path);
+            view.capacity_bps[eids[rng.uniform_index(eids.size())]] = 0.0;
+            ++zero_caps;
+          }
+        }
+        break;
+      case 2: {  // every flow crosses every used edge
+        std::size_t longest = 0;
+        for (std::size_t f = 0; f < routes.paths.size(); ++f) {
+          if (routes.paths[f].nodes.size() >
+              routes.paths[longest].nodes.size()) {
+            longest = f;
+          }
+        }
+        const graphs::Path path = routes.paths[longest];
+        for (auto& p : routes.paths) p = path;
+        ++shared;
+        break;
+      }
+      case 3: {  // demands pinned to exactly their max-min fair share
+        const auto fair = reference_max_min(view, routes.paths, rates);
+        for (std::size_t f = 0; f < rates.size(); ++f) {
+          if (fair.rate_bps[f] < rates[f] && rng.chance(0.5)) {
+            rates[f] = fair.rate_bps[f];
+            ++pinned;
+          }
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    for (std::size_t f = 0; f < rates.size(); ++f) {
+      if (rates[f] == 0.0) ++zeros;
+      for (std::size_t g = 0; g < f; ++g) {
+        if (rates[g] == rates[f] && rates[f] > 0.0) {
+          ++tied;
+          break;
+        }
+      }
+    }
+
+    expect_bitwise_equal(flow::max_min_allocate(view, routes.paths, rates),
+                         reference_max_min(view, routes.paths, rates),
+                         "seed " + std::to_string(seed));
+  }
+  EXPECT_GT(tied, 0u);
+  EXPECT_GT(zeros, 0u);
+  EXPECT_GT(zero_caps, 0u);
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(pinned, 0u);
+}
+
+TEST(MaxMin, RejectsNonFiniteDemand) {
+  const auto view = chain_view({10e9});
+  const RoutingResult routes = compute_routes(
+      view, {{0, 1, 1e9}, {0, 1, 1e9}}, RoutingScheme::ShortestPath);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)flow::max_min_allocate(view, routes.paths, {1e9, bad}),
+                 Error);
   }
 }
 

@@ -154,8 +154,13 @@ TEST(RasterTerrain, RejectsDegenerateBox) {
 }
 
 TEST(Profile, EndpointsAndMonotoneDistance) {
+  // The US terrain rasterized at its sweep resolution, but only over a
+  // box around the hop: the profile samples nothing outside it.
   const auto region = contiguous_us();
-  const RasterTerrain terrain = region.make_raster_terrain();
+  const RasterTerrain terrain(region.make_terrain(),
+                              {.lat_min = 41.0, .lat_max = 42.7,
+                               .lon_min = -88.5, .lon_max = -85.5},
+                              region.raster_cell_deg);
   const geo::LatLon a{41.88, -87.63};  // Chicago
   const geo::LatLon b{41.81, -86.47};  // Galien, MI (the paper's 96 km hop)
   const auto profile = build_profile(terrain, a, b, 0.5);
